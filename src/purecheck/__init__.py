@@ -21,14 +21,7 @@ from .check import (
     TacticalError,
     Verdict,
     check,
-    check_bool,
-    check_conjoin,
-    check_for,
-    check_list,
-    check_pair,
-    check_predicate,
     check_true,
-    check_unit,
     check_with,
     conjoin,
     foreach,
@@ -43,7 +36,6 @@ from .generators import (
     default_generator,
     from_factory,
     from_values,
-    generate,
     gmap,
     gpair,
     gtriple,
@@ -71,7 +63,6 @@ from .patches import (
     render_edit,
     render_literal,
     render_word,
-    register_editable,
     string_delete,
     string_insert,
     to_list,
@@ -87,7 +78,6 @@ from .editor import (
     Editor,
     Fail,
     Ins,
-    Insertion,
     Return,
     Skip,
     Try,
@@ -101,7 +91,6 @@ from .editor import (
     ins,
     is_normal,
     is_total,
-    patch_eq,
     render_editor,
     semantics,
     witness_def,
@@ -126,9 +115,6 @@ from .axioms import (
     is_nonneg_eligible,
     monoid_laws,
     nonneg_lift,
-    patch_invert_axiom,
-    raction_compose,
-    raction_unit,
 )
 from .runner import (
     EntryResult,

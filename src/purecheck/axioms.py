@@ -171,18 +171,6 @@ def monoid_laws(m: Monoid) -> List[Tuple[str, Check]]:
     ]
 
 
-def raction_unit(act: Callable[[Any, Any], Any], states: Generator, monoid: Monoid) -> Meta:
-    return axiomatic(RActionUnit(act, states, monoid))
-
-
-def raction_compose(act: Callable[[Any, Any], Any], states: Generator, monoid: Monoid) -> Meta:
-    return axiomatic(RActionCompose(act, states, monoid))
-
-
-def patch_invert_axiom(states: Generator, patch_domain: Generator, name: str) -> Meta:
-    return axiomatic(PatchInvert(states, patch_domain, name))
-
-
 # ---------------------------------------------------------------------------
 # the non-negative lifting tactic
 

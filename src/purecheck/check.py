@@ -139,23 +139,33 @@ class Check:
 
 def check_true() -> Check:
     """The unit of the conjunctive structure: holds at every confidence."""
-    return Check(lambda n: Holds())
+    return conjoin()
 
 
-def conjoin(c: Check, d: Check) -> Check:
+class _Clauses(tuple):
+    """The flat clause tuple of a conjunction, performed as one loop."""
+
+    def __call__(self, n: int) -> Verdict:
+        for clause in self:
+            v = clause.perform(n)
+            if not isinstance(v, Holds):
+                return v
+        return Holds()
+
+
+def conjoin(*checks: Check) -> Check:
     """Conjunction of checks; the confidence is passed to each clause.
 
     The first clause (left to right) that does not hold determines the
-    verdict, so reports are deterministic.
+    verdict, so reports are deterministic.  Conjunctions among the
+    arguments are spliced in flat, so however a conjunction was built
+    its evaluation does not nest: stack depth stays constant in the
+    number of clauses.  ``conjoin()`` holds.
     """
-
-    def perform(n: int) -> Verdict:
-        v = c.perform(n)
-        if not isinstance(v, Holds):
-            return v
-        return d.perform(n)
-
-    return Check(perform)
+    clauses: list = []
+    for c in checks:
+        clauses.extend(c.perform if isinstance(c.perform, _Clauses) else (c,))
+    return Check(_Clauses(clauses))
 
 
 def check_with(g: Generator, p: Union[Meta, Callable]) -> Check:
@@ -247,13 +257,9 @@ def check(p: Meta) -> Check:
     if isinstance(value, bool):
         return Check(lambda n: Holds() if value else Falsified())
     if value is None:
-        return check_true()
+        return conjoin()
     if isinstance(value, (tuple, list)):
-        result = check_true()
-        for component in value:
-            wrapped = component if isinstance(component, Meta) else Meta(component)
-            result = conjoin(result, check(wrapped))
-        return result
+        return conjoin(*(check(c if isinstance(c, Meta) else Meta(c)) for c in value))
     if isinstance(value, For):
         return check_with(value.bound, Meta(value.body))
     if callable(value):
@@ -271,45 +277,6 @@ def _check_callable(fn: Callable) -> Check:
         return check_with(g, fn).perform(n)
 
     return Check(perform)
-
-
-# Monomorphic spellings of the dispatcher, one per proposition shape.
-# Each is the same decision procedure `check` applies once it has seen
-# that shape; the names exist so call sites can state their intent.
-
-def check_bool(p: Meta) -> Check:
-    """Decide a marked boolean: a constant verdict at any confidence."""
-    return check(p)
-
-
-def check_conjoin(c: Check, d: Check) -> Check:
-    """The conjunction of two checks; same as ``c & d``."""
-    return conjoin(c, d)
-
-
-def check_unit(p: Meta) -> Check:
-    """Decide a marked ``None``: trivially true."""
-    return check(p)
-
-
-def check_pair(p: Meta) -> Check:
-    """Decide a marked pair as the conjunction of its components."""
-    return check(p)
-
-
-def check_list(p: Meta) -> Check:
-    """Decide a marked list as the conjunction of its items (empty holds)."""
-    return check(p)
-
-
-def check_predicate(p) -> Check:
-    """Decide a marked predicate over its annotation's default generator."""
-    return check(p if isinstance(p, Meta) else Meta(p))
-
-
-def check_for(q: Meta) -> Check:
-    """Decide a marked bounded quantification (a :class:`For`)."""
-    return check(q)
 
 
 def _domain_of(fn: Callable) -> Generator:

@@ -28,14 +28,6 @@ _SUITES = {
 }
 
 
-def _default_confidence() -> int:
-    raw = os.environ.get("PURECHECK_CONFIDENCE", "100")
-    try:
-        return int(raw)
-    except ValueError:
-        return 100
-
-
 def _read_word(path: str) -> Word:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh]
@@ -50,7 +42,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="evaluate a suite and report verdicts")
-    run_p.add_argument("--confidence", type=int, default=None, help="sample budget per check")
+    # a string default goes through `type` too, so a malformed
+    # PURECHECK_CONFIDENCE is a usage error like a malformed flag
+    run_p.add_argument(
+        "--confidence",
+        type=int,
+        default=os.environ.get("PURECHECK_CONFIDENCE", "100"),
+        help="sample budget per check (default: $PURECHECK_CONFIDENCE, else 100)",
+    )
     run_p.add_argument("--filter", default=None, help="substring filter on entry names")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
     run_p.add_argument("--suite", choices=tuple(_SUITES), default="default")
@@ -70,11 +69,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        confidence = args.confidence if args.confidence is not None else _default_confidence()
-        if confidence < 1:
+        if args.confidence < 1:
             parser.error("--confidence must be at least 1")
         suite = _SUITES[args.suite]()
-        report = runner.run_suite(suite, confidence, args.filter)
+        report = runner.run_suite(suite, args.confidence, args.filter)
         if args.format == "json":
             print(runner.report_json(report))
         else:

@@ -22,7 +22,7 @@ Single edits splice into automata (:func:`editor_insert` /
 identity automaton gives its :func:`semantics`.  Two words denote the
 same partial string function exactly when their automata are structurally
 equal — which turns an undecidable-looking question about group words
-into a an equality test (:func:`word_equiv`).  The witness constructions
+into an equality test (:func:`word_equiv`).  The witness constructions
 at the bottom make the model self-describing: for any automaton (or pair)
 they produce concrete inputs demonstrating definedness, undefinedness,
 or disagreement, and the :func:`adequacy_suite` checks those claims with
@@ -31,6 +31,7 @@ the machinery of :mod:`purecheck.check`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple, Union
@@ -39,7 +40,7 @@ from . import generators, patches
 from .check import Check, For, Meta, NestedFor, check, qmerge, render
 from .existentials import exists, exists_or_vacuous, exists_some
 from .generators import Generator, gpair, register_default
-from .patches import Word, action, register_editable, register_patch_kind
+from .patches import Edit, EditOp, Word, act, action, splice
 
 # ---------------------------------------------------------------------------
 # the automaton
@@ -64,13 +65,35 @@ class Del:
 Consumption = Union[Skip, Del, Return]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ins:
     prefix: str
     next: Consumption
 
+    # Equality and hashing read the spine in one loop; the generated
+    # methods would recurse once per position and overflow the stack on
+    # automata a few hundred positions deep.
 
-Insertion = Ins
+    def _flat(self) -> tuple:
+        """The spine as one flat tuple: each prefix, then the deleted
+        character for a ``Del``, or the class of a ``Skip`` or ``Return``."""
+        out: list = []
+        node = self
+        while True:
+            step = node.next
+            out.append(node.prefix)
+            out.append(step.char if isinstance(step, Del) else type(step))
+            if isinstance(step, Return):
+                return tuple(out)
+            node = step.next
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ins):
+            return NotImplemented
+        return self is other or self._flat() == other._flat()
+
+    def __hash__(self) -> int:
+        return hash(self._flat())
 
 
 @dataclass(frozen=True)
@@ -153,8 +176,11 @@ def _lift(a: Optional[Ins]) -> Editor:
     return Fail() if a is None else Try(a)
 
 
-for _cls in (Try, Fail, Ins):
-    register_patch_kind(_cls, lambda s, a: editor_action(s, a))
+@act.register(Try)
+@act.register(Fail)
+@act.register(Ins)
+def _(a: Union[Editor, Ins], s: str) -> Optional[str]:
+    return editor_action(s, a)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +269,10 @@ def editor_delete(a: Ins, i: int, c: str) -> Optional[Ins]:
             return _rebuild(path, ins(p, tail))
 
 
-register_editable(Ins, editor_insert, editor_delete)
+@splice.register
+def _(a: Ins, e: Edit) -> Optional[Ins]:
+    fn = editor_insert if e.op is EditOp.INSERT else editor_delete
+    return fn(a, e.pos, e.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +286,7 @@ def semantics(w: Word) -> Editor:
     An intermediate edit with an empty composite collapses the whole word
     to ``Fail``.
     """
-    state: Optional[Ins] = DONE
-    for lit in w.literals:
-        state = action(state, lit)
-        if state is None:
-            return Fail()
-    return Try(state)
+    return _lift(act(w, DONE))
 
 
 def word_equiv(x: Word, y: Word) -> bool:
@@ -378,9 +402,9 @@ def witness_diff(x: Editor, y: Editor) -> Optional[str]:
     When both accept the same pattern language, the probe fills every
     unconstrained position with a fresh character — pairwise distinct and
     absent from both automata — so that equal outputs cannot arise from a
-    lucky coincidence between copied and inserted text.  (Assumes the
-    probe alphabet is large enough, which the character pool guarantees
-    for any automaton a generated word can build.)
+    lucky coincidence between copied and inserted text.  Fresh characters
+    come from ``CHARACTER_ORDER`` first and then from the printable code
+    points past U+007F, so the pool never runs dry.
     """
     if x == y:
         return None
@@ -393,7 +417,8 @@ def witness_diff(x: Editor, y: Editor) -> Optional[str]:
     # both Try, with identical acceptance patterns
     pattern = _pattern(x.insertion)
     used = _chars_of(x) | _chars_of(y)
-    pool = (ch for ch in generators.CHARACTER_ORDER if ch not in used)
+    beyond_ascii = filter(str.isprintable, map(chr, itertools.count(0x80)))
+    pool = (ch for ch in itertools.chain(generators.CHARACTER_ORDER, beyond_ascii) if ch not in used)
     probe = "".join(c if c is not None else next(pool) for c in pattern)
     if editor_action(probe, x) != editor_action(probe, y):
         return probe
@@ -458,15 +483,6 @@ class Diff:
 
 # ---------------------------------------------------------------------------
 # equivalence propositions
-
-
-def patch_eq(x, y) -> Meta:
-    """Marked proposition: the two patches act identically on every string."""
-
-    def agree(s: str) -> bool:
-        return action(s, x) == action(s, y)
-
-    return Meta(agree)
 
 
 def cons_eq(x: Editor, y: Editor) -> Meta:

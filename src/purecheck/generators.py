@@ -38,11 +38,6 @@ class Generator:
     generate: Callable[[int], list]
 
 
-def generate(g: Generator, n: int) -> list:
-    """Function form of the method: the first ``n`` samples of ``g``."""
-    return g.generate(n)
-
-
 def from_factory(make: Callable[[], Iterator]) -> Generator:
     """Wrap a factory of restartable iterators as a generator.
 

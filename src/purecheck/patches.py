@@ -19,7 +19,7 @@ import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Optional, Tuple
+from typing import Any, Iterable, Optional, Tuple
 
 from . import generators
 from .check import render
@@ -121,55 +121,52 @@ def string_delete(s: str, i: int, c: str) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # actions
 
-# state type -> (insert, delete), each (state, pos, char) -> Optional[state]
-_EDITABLE: dict = {}
-
-# patch type -> handler(state, patch) -> Optional[state], for patch kinds
-# defined outside this module (the automata of purecheck.editor)
-_ACTIONS: dict = {}
+# Patch kind and state type are independent extension axes, so each has
+# its own dispatcher: a new patch representation registers with `act`
+# (keyed on the patch), a new editable state with `splice` (keyed on the
+# state).  purecheck.editor adds its automata on both.
 
 
-def register_editable(state_type: type, insert: Callable, delete: Callable) -> None:
-    """Declare how single edits splice into states of the given type."""
-    _EDITABLE[state_type] = (insert, delete)
+@functools.singledispatch
+def splice(s: Any, e: Edit) -> Optional[Any]:
+    """Apply one single edit to state ``s``; ``None`` when it does not apply."""
+    raise TypeError(f"states of type {type(s).__name__} do not support edits")
 
 
-def register_patch_kind(patch_type: type, handler: Callable) -> None:
-    """Declare the action of an additional patch representation."""
-    _ACTIONS[patch_type] = handler
-
-
-register_editable(str, string_insert, string_delete)
-
-
-def _edit_action(s: Any, e: Edit) -> Optional[Any]:
-    try:
-        insert, delete = _EDITABLE[type(s)]
-    except KeyError:
-        raise TypeError(f"states of type {type(s).__name__} do not support edits") from None
-    fn = insert if e.op is EditOp.INSERT else delete
+@splice.register
+def _(s: str, e: Edit) -> Optional[str]:
+    fn = string_insert if e.op is EditOp.INSERT else string_delete
     return fn(s, e.pos, e.arg)
+
+
+@functools.singledispatch
+def act(p: Any, s: Any) -> Optional[Any]:
+    """The action of patch ``p`` on state ``s``, dispatched on the patch type."""
+    raise TypeError(f"not a patch: {type(p).__name__}")
+
+
+@act.register
+def _(p: Edit, s: Any) -> Optional[Any]:
+    return splice(s, p)
+
+
+@act.register
+def _(p: Literal, s: Any) -> Optional[Any]:
+    return act(p.atom if p.polarity is Polarity.POSITIVE else inv(p.atom), s)
+
+
+@act.register
+def _(p: Word, s: Any) -> Optional[Any]:
+    for lit in p.literals:
+        s = act(lit, s)
+        if s is None:
+            return None
+    return s
 
 
 def action(s: Any, p: Any) -> Optional[Any]:
     """Apply patch ``p`` to state ``s``; ``None`` when it does not apply."""
-    if isinstance(p, Edit):
-        return _edit_action(s, p)
-    if isinstance(p, Literal):
-        if p.polarity is Polarity.POSITIVE:
-            return action(s, p.atom)
-        return undo(s, p.atom)
-    if isinstance(p, Word):
-        state: Optional[Any] = s
-        for lit in p.literals:
-            state = action(state, lit)
-            if state is None:
-                return None
-        return state
-    handler = _ACTIONS.get(type(p))
-    if handler is not None:
-        return handler(s, p)
-    raise TypeError(f"not a patch: {type(p).__name__}")
+    return act(p, s)
 
 
 def undo(s: Any, p: Any) -> Optional[Any]:

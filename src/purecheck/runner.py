@@ -171,12 +171,12 @@ def default_suite() -> Suite:
 
     suite.register(
         "raction.unit<string-append>",
-        check(axioms.raction_unit(append, generators.strings(), axioms.STRING)),
+        check(axioms.axiomatic(axioms.RActionUnit(append, generators.strings(), axioms.STRING))),
         ("axiom", "raction"),
     )
     suite.register(
         "raction.compose<string-append>",
-        check(axioms.raction_compose(append, generators.strings(), axioms.STRING)),
+        check(axioms.axiomatic(axioms.RActionCompose(append, generators.strings(), axioms.STRING))),
         ("axiom", "raction"),
     )
 
@@ -187,7 +187,7 @@ def default_suite() -> Suite:
     ):
         suite.register(
             f"patch.invert<string,{label}>",
-            check(axioms.patch_invert_axiom(generators.strings(), domain, f"string,{label}")),
+            check(axioms.axiomatic(axioms.PatchInvert(generators.strings(), domain, f"string,{label}"))),
             ("axiom", "patch"),
         )
 

@@ -10,6 +10,8 @@ from purecheck import (
     Monoid,
     MonoidCommute,
     PatchInvert,
+    RActionCompose,
+    RActionUnit,
     RepeatLength,
     action,
     axiomatic,
@@ -20,13 +22,11 @@ from purecheck import (
     is_nonneg_eligible,
     monoid_laws,
     nonneg_lift,
-    raction_compose,
-    raction_unit,
     strings,
     words,
 )
 from purecheck.check import Meta
-from purecheck.patches import register_patch_kind
+from purecheck.patches import act
 
 
 def run(name_checks, confidence=60):
@@ -77,8 +77,8 @@ def test_right_action_laws_for_string_append():
     def append(s, a):
         return s + a
 
-    unit = check(raction_unit(append, strings(), STRING))
-    compose = check(raction_compose(append, strings(), STRING))
+    unit = check(axiomatic(RActionUnit(append, strings(), STRING)))
+    compose = check(axiomatic(RActionCompose(append, strings(), STRING)))
     assert unit.perform(60) == Holds()
     assert compose.perform(60) == Holds()
 
@@ -88,8 +88,8 @@ def test_right_action_laws_catch_a_left_action():
     def prepend(s, a):
         return a + s
 
-    assert check(raction_unit(prepend, strings(), STRING)).perform(40) == Holds()
-    v = check(raction_compose(prepend, strings(), STRING)).perform(40)
+    assert check(axiomatic(RActionUnit(prepend, strings(), STRING))).perform(40) == Holds()
+    v = check(axiomatic(RActionCompose(prepend, strings(), STRING))).perform(40)
     assert isinstance(v, Falsified)
 
 
@@ -109,7 +109,9 @@ class _Chop:
         return isinstance(other, _Chop)
 
 
-register_patch_kind(_Chop, lambda s, p: s[:-1] if s else None)
+@act.register
+def _(p: _Chop, s: str):
+    return s[:-1] if s else None
 
 
 @inv.register

@@ -12,6 +12,7 @@ from purecheck import (
     booleans,
     check,
     check_true,
+    conjoin,
     check_with,
     foreach,
     from_values,
@@ -215,33 +216,23 @@ def test_qmerge_agrees_with_nested_on_square_budgets():
             assert isinstance(got, Falsified), f"n={n}"
 
 
-def test_named_entry_points_match_the_dispatcher():
-    from purecheck import (
-        check_bool,
-        check_conjoin,
-        check_for,
-        check_list,
-        check_pair,
-        check_predicate,
-        check_unit,
-    )
+def test_dispatcher_reads_each_proposition_shape():
+    assert check(Meta(True)).perform(0) == Holds()
+    assert check(Meta(1 + 1 == 2)).perform(1) == Holds()
+    assert isinstance(check(Meta(False)).perform(100), Falsified)
 
-    assert check_bool(Meta(True)).perform(0) == Holds()
-    assert check_bool(Meta(1 + 1 == 2)).perform(1) == Holds()
-    assert isinstance(check_bool(Meta(False)).perform(100), Falsified)
+    assert check(Meta(None)).perform(3) == Holds()
 
-    assert check_unit(Meta(None)).perform(3) == Holds()
+    assert check(Meta([])).perform(3) == Holds()
+    assert isinstance(check(Meta([True, False, True])).perform(3), Falsified)
+    assert check(Meta((True, True))).perform(3) == Holds()
 
-    assert check_list(Meta([])).perform(3) == Holds()
-    assert isinstance(check_list(Meta([True, False, True])).perform(3), Falsified)
-    assert check_pair(Meta((True, True))).perform(3) == Holds()
-
-    assert check_conjoin(check_true(), check_true()).perform(5) == Holds()
-    v = check_conjoin(check_bool(Meta(True)), check_bool(Meta(False))).perform(5)
+    assert conjoin(check_true(), check_true()).perform(5) == Holds()
+    v = conjoin(check(Meta(True)), check(Meta(False))).perform(5)
     assert isinstance(v, Falsified)
     # conjoining with the unit changes nothing, verdict by verdict
     sample = check_with(integers(), lambda x: x < 3)
-    padded = check_conjoin(sample, check_true())
+    padded = conjoin(sample, check_true())
     for n in range(1, 11):
         assert padded.perform(n) == sample.perform(n)
 
@@ -254,20 +245,35 @@ def test_named_entry_points_match_the_dispatcher():
     def short(s: str):
         return len(s) < 3
 
-    assert check_predicate(Meta(tautology)).perform(2) == Holds()
-    assert check_predicate(Meta(doubled_even)).perform(100) == Holds()
-    assert isinstance(check_predicate(Meta(short)).perform(100), Falsified)
+    assert check(Meta(tautology)).perform(2) == Holds()
+    assert check(Meta(doubled_even)).perform(100) == Holds()
+    assert isinstance(check(Meta(short)).perform(100), Falsified)
 
-    assert check_for(Meta(For(from_values([]), lambda x: False))).perform(5) == Holds()
-    v = check_for(Meta(For(booleans(), lambda x: x))).perform(1)
+    assert check(Meta(For(from_values([]), lambda x: False))).perform(5) == Holds()
+    v = check(Meta(For(booleans(), lambda x: x))).perform(1)
     assert isinstance(v, Falsified)
-    assert check_for(Meta(For(booleans(), lambda x: True))).perform(9) == Holds()
+    assert check(Meta(For(booleans(), lambda x: True))).perform(9) == Holds()
 
 
-def test_generate_function_form():
-    from purecheck import generate
+def test_conjoin_is_n_ary_and_flat():
+    assert conjoin().perform(7) == Holds()
+    clauses = [check_with(from_values([k]), lambda x, k=k: x != 2) for k in range(4)]
+    v = conjoin(*clauses).perform(1)
+    assert v == Falsified("2")
+    assert conjoin(*clauses[:2]).perform(1) == Holds()
+    # however it is grouped, a conjunction is one flat clause tuple
+    left = (clauses[0] & clauses[1]) & (clauses[2] & clauses[3])
+    assert left.perform == conjoin(*clauses).perform
 
-    assert generate(integers(), 3) == integers().generate(3)
+
+def test_deep_conjunction_does_not_recurse():
+    assert check(Meta([True] * 2000)).perform(1) == Holds()
+    assert isinstance(check(Meta([True] * 5000 + [False])).perform(1), Falsified)
+    chained = check_true()
+    for _ in range(5000):
+        chained = chained & check(Meta(True))
+    assert chained.perform(1) == Holds()
+    assert isinstance((chained & check(Meta(False))).perform(1), Falsified)
 
 
 def test_confidence_indexes_the_whole_conjunction():

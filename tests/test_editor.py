@@ -16,6 +16,7 @@ from purecheck import (
     Diff,
     EditOp,
     Fail,
+    Holds,
     Ins,
     Literal,
     Polarity,
@@ -26,6 +27,8 @@ from purecheck import (
     Word,
     action,
     brute_force_equiv,
+    check,
+    cons_eq,
     editor_action,
     editors,
     exists,
@@ -358,3 +361,22 @@ def test_editors_generator_is_prefix_monotone(m, n):
     if m > n:
         m, n = n, m
     assert editors.generate(n)[:m] == editors.generate(m)
+
+
+def test_word_equiv_on_deep_automata():
+    # equality and hashing of automata hundreds of positions deep
+    x, y = parse_word("+200:a,+0:b"), parse_word("+0:b,+201:a")
+    assert word_equiv(x, y)
+    assert hash(semantics(x)) == hash(semantics(y))
+    assert not word_equiv(x, parse_word("+0:b,+200:a"))
+    assert check(cons_eq(semantics(x), semantics(y))).perform(1) == Holds()
+
+
+def test_witness_diff_past_the_printable_pool():
+    # 100 unconstrained positions need more fresh probe characters than
+    # printable ASCII has
+    x, y = parse_word("+100:a"), parse_word("+100:b")
+    s = witness_diff(semantics(x), semantics(y))
+    assert s is not None and s.isprintable()
+    assert action(s, x) != action(s, y)
+    assert check(cons_eq(semantics(x), semantics(y))).perform(1) == Holds()

@@ -1,4 +1,5 @@
 """Suites, reports, exit codes, and the command-line front end."""
+import hashlib
 import json
 
 import pytest
@@ -218,6 +219,16 @@ def test_cli_flag_overrides_environment(monkeypatch, capsys):
     assert all(e["samples"] == 9 for e in doc["entries"])
 
 
+def test_cli_rejects_malformed_confidence_in_environment(monkeypatch, capsys):
+    monkeypatch.setenv("PURECHECK_CONFIDENCE", "1e3")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--filter", "raction"])
+    assert exc.value.code == 2
+    assert "1e3" in capsys.readouterr().err
+    # an explicit flag does not read the environment
+    assert main(["run", "--confidence", "9", "--filter", "raction"]) == 0
+
+
 def test_cli_rejects_nonpositive_confidence(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--confidence", "0"])
@@ -287,3 +298,14 @@ def test_cli_oracle_reports_missing_file(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", str(tmp_path / "nope.txt"), str(b)])
     assert exc.value.code == 2
+
+
+def test_default_suite_report_is_unchanged_at_confidence_100():
+    # sha256 of the JSON report with timings dropped, in canonical form:
+    # any change to a verdict, counterexample or entry shows here
+    doc = json.loads(report_json(run_suite(default_suite(), 100)))
+    for entry in doc["entries"]:
+        del entry["ms"]
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert digest == "fc414742c08d2761f36505673fafe1c1bcd8811e2367d99f574a3574ad786333"
