@@ -34,7 +34,6 @@ from .generators import (
     booleans,
     characters,
     default_generator,
-    from_factory,
     from_values,
     gmap,
     gpair,

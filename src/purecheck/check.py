@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import typing
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
@@ -169,19 +170,27 @@ def conjoin(*checks: Check) -> Check:
 
 
 def check_with(g: Generator, p: Union[Meta, Callable]) -> Check:
-    """Check a predicate on every sample that ``g`` yields at the given budget.
+    """Check a predicate on the first ``n`` samples of ``g``, ``n`` the budget.
 
-    A budget of zero (or less) produces no samples and therefore holds
-    vacuously — "no evidence" is not a failure.
+    Samples are enumerated one at a time and the check stops at the first
+    one that does not hold, so a counterexample costs only the samples
+    before it.  The first thing that goes wrong in enumeration order
+    decides: a counterexample before a sample whose enumeration raises is
+    ``Falsified``, the raise itself a ``TacticalError``.  A budget of zero
+    (or less) produces no samples and therefore holds vacuously — "no
+    evidence" is not a failure.
     """
     fn = p.reflect if isinstance(p, Meta) else p
 
     def perform(n: int) -> Verdict:
-        try:
-            samples = g.generate(n)
-        except Exception as e:  # noqa: BLE001 — sampling failure is a verdict, not a crash
-            return TacticalError(f"sample enumeration failed: {e!r}")
-        for x in samples:
+        samples = itertools.islice(g, max(n, 0))
+        while True:
+            try:
+                x = next(samples)
+            except StopIteration:
+                return Holds()
+            except Exception as e:  # noqa: BLE001 — sampling failure is a verdict, not a crash
+                return TacticalError(f"sample enumeration failed: {e!r}")
             try:
                 result = fn(x)
             except Exception as e:  # noqa: BLE001
@@ -192,7 +201,6 @@ def check_with(g: Generator, p: Union[Meta, Callable]) -> Check:
                 )
             if not result:
                 return Falsified(_clip(render(x)))
-        return Holds()
 
     return Check(perform)
 

@@ -65,12 +65,12 @@ class Del:
 Consumption = Union[Skip, Del, Return]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Ins:
     prefix: str
     next: Consumption
 
-    # Equality and hashing read the spine in one loop; the generated
+    # Equality, hashing and repr read the spine in one loop; the generated
     # methods would recurse once per position and overflow the stack on
     # automata a few hundred positions deep.
 
@@ -94,6 +94,22 @@ class Ins:
 
     def __hash__(self) -> int:
         return hash(self._flat())
+
+    def __repr__(self) -> str:
+        """The text the generated ``__repr__`` would give, built in one loop."""
+        parts: list = []
+        node = self
+        while True:
+            parts.append(f"Ins(prefix={node.prefix!r}, next=")
+            step = node.next
+            if isinstance(step, Return):
+                parts.append(repr(step))
+                return "".join(parts) + ")" * (len(parts) - 1)
+            if isinstance(step, Del):
+                parts.append(f"Del(char={step.char!r}, next=")
+            else:
+                parts.append("Skip(next=")
+            node = step.next
 
 
 @dataclass(frozen=True)
@@ -279,12 +295,13 @@ def _(a: Ins, e: Edit) -> Optional[Ins]:
 # the word problem
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def semantics(w: Word) -> Editor:
     """Fold a word's edits over the identity automaton.
 
     An intermediate edit with an empty composite collapses the whole word
-    to ``Fail``.
+    to ``Fail``.  The cache keeps the 4096 most recently used words; the
+    distinct automata that `editors` enumerates stay in its memo.
     """
     return _lift(act(w, DONE))
 
@@ -535,36 +552,22 @@ def _(value: Ins) -> str:
 # ---------------------------------------------------------------------------
 # generated automata
 
-def _editors_generator() -> Generator:
+def _editors() -> Iterator[Editor]:
     """Distinct images of generated words under `semantics`.
 
     Sampling through the fold guarantees every sample is a reachable,
     normal-form automaton; deduplication keeps the distinctness guarantee
     that raw images would lose (many words share one automaton).
     """
-
-    def gen(n: int) -> list:
-        if n <= 0:
-            return []
-        budget = max(n, 8)
-        while True:
-            out: list = []
-            seen: set = set()
-            for w in patches.words.generate(budget):
-                e = semantics(w)
-                if e not in seen:
-                    seen.add(e)
-                    out.append(e)
-                    if len(out) == n:
-                        return out
-            if len(patches.words.generate(budget)) < budget:
-                return out  # word universe exhausted; nothing more to find
-            budget *= 2
-
-    return Generator(gen)
+    seen: set = set()
+    for w in patches.words:
+        e = semantics(w)
+        if e not in seen:
+            seen.add(e)
+            yield e
 
 
-editors = _editors_generator()
+editors = Generator(_editors)
 
 register_default(Editor, editors)
 register_default(Try, editors)

@@ -1,7 +1,10 @@
 """Deterministic, size-bounded sample enumeration.
 
-A :class:`Generator` is a pure function from a non-negative size budget
-``n`` to a list of samples.  Every generator exported here upholds four
+A :class:`Generator` is a memoised, restartable stream of samples, built
+from a factory of iterators.  Iterating it replays the samples already
+enumerated and extends them from one live iterator, so each sample is
+enumerated at most once per generator per process; ``generate(n)`` is the
+first ``n`` samples as a list.  Every generator exported here upholds four
 guarantees:
 
 * **size bound** — ``generate(n)`` has at most ``n`` elements;
@@ -10,16 +13,20 @@ guarantees:
   ``generate(n)`` whenever ``m <= n``;
 * **distinctness** — no list contains duplicates.
 
-Together these make quantified checks reproducible and monotone: raising
-the budget can only expose new counterexamples, never hide one that a
-smaller budget already found.
+The first three hold by construction: every budget reads a prefix of one
+fixed stream.  Together they make quantified checks reproducible and
+monotone: raising the budget can only expose new counterexamples, never
+hide one that a smaller budget already found.  The price is memory: a
+generator keeps every sample it has enumerated, so a process holds as many
+samples as the highest budget it has asked of each generator.
 
 Products are enumerated in *square shells* rather than by nesting loops:
 shell ``k`` holds the pairs whose larger marginal index is exactly ``k``,
 so the first ``k*k`` pairs of a product cover the full ``k`` x ``k`` grid
 of marginal prefixes.  This keeps both sides of a product growing at the
 same ~sqrt(n) rate, which is what makes multi-argument properties worth
-testing at small budgets.
+testing at small budgets, and it means a product pulls only ~sqrt(n)
+samples from each marginal.
 """
 
 from __future__ import annotations
@@ -27,42 +34,66 @@ from __future__ import annotations
 import itertools
 import string as _string
 import typing
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from types import TracebackType
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 
-@dataclass(frozen=True)
+def _resume(make: Callable[[], Iterable], start: int) -> Iterator:
+    # A generator, so that ``make`` is first called on the first pull.
+    yield from itertools.islice(make(), start, None)
+
+
 class Generator:
-    """A deterministic enumerator; ``generate(n)`` yields at most ``n`` samples."""
+    """A deterministic enumerator: a memoised stream over ``make()``.
 
-    generate: Callable[[int], list]
-
-
-def from_factory(make: Callable[[], Iterator]) -> Generator:
-    """Wrap a factory of restartable iterators as a generator.
-
-    The factory is invoked afresh on every call, so determinism and prefix
-    monotonicity follow directly from the factory producing a fixed stream.
+    ``make`` is a zero-argument factory of iterables that must produce the
+    same sequence every time it is called.  It is called once, lazily, and
+    again only to resume after an interruption (see ``__iter__``).
     """
 
-    def gen(n: int) -> list:
-        if n <= 0:
-            return []
-        return list(itertools.islice(make(), n))
+    def __init__(self, make: Callable[[], Iterable]):
+        self._make = make
+        self._memo: list = []
+        self._live: Iterator = _resume(make, 0)
+        self._error: Optional[Exception] = None
+        self._error_tb: Optional[TracebackType] = None
 
-    return Generator(gen)
+    def __iter__(self) -> Iterator:
+        """Replay the memo, then extend it from the live iterator.
+
+        An exception raised while enumerating is stored and raised again at
+        the same index on every later pull, so a stream that failed never
+        looks shorter than it is.  An interrupt (``KeyboardInterrupt`` and
+        the like) is not stored: the next pull resumes after the memo.
+        """
+        memo = self._memo
+        i = 0
+        while True:
+            if i == len(memo):
+                if self._error is not None:
+                    # the original traceback, so that re-raising does not grow it
+                    raise self._error.with_traceback(self._error_tb)
+                try:
+                    memo.append(next(self._live))
+                except StopIteration:
+                    return
+                except Exception as e:
+                    self._error, self._error_tb = e, e.__traceback__
+                    raise
+                except BaseException:
+                    self._live = _resume(self._make, len(memo))
+                    raise
+            yield memo[i]
+            i += 1
+
+    def generate(self, n: int) -> list:
+        """The first ``n`` samples (none for ``n <= 0``)."""
+        return list(itertools.islice(self, max(n, 0)))
 
 
 def from_values(values: Iterable) -> Generator:
     """Enumerate a fixed finite sequence of (distinct) values."""
-    vals = list(values)
-
-    def gen(n: int) -> list:
-        if n <= 0:
-            return []
-        return vals[:n]
-
-    return Generator(gen)
+    return Generator(tuple(values).__iter__)
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +115,12 @@ def integers() -> Generator:
             yield -k
             k += 1
 
-    return from_factory(stream)
+    return Generator(stream)
 
 
 def naturals() -> Generator:
     """0, 1, 2, ... — used wherever a position or count is sampled."""
-    return from_factory(itertools.count)
+    return Generator(itertools.count)
 
 
 def _character_order() -> str:
@@ -128,7 +159,7 @@ def strings() -> Generator:
                 yield "".join(tup)
             length += 1
 
-    return from_factory(stream)
+    return Generator(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -140,32 +171,35 @@ def gpair(g: Generator, h: Generator) -> Generator:
 
     Shell ``k`` contributes first the column ``(x_i, y_k)`` for ``i < k``,
     then the row ``(x_k, y_j)`` for ``j < k``, then the corner
-    ``(x_k, y_k)``.  Marginals are queried at the full budget; indices that
-    fall outside a (finite) marginal are skipped.
+    ``(x_k, y_k)``.  ``x_k`` and ``y_k`` are pulled when shell ``k``
+    begins; indices past the end of a finite marginal are skipped, and the
+    product ends when both marginals have run dry (at once, if either is
+    empty).
     """
 
-    def gen(n: int) -> list:
-        if n <= 0:
-            return []
-        xs = g.generate(n)
-        ys = h.generate(n)
-        if not xs or not ys:
-            return []
-        out: list = []
-        for k in range(max(len(xs), len(ys))):
-            if len(out) >= n:
-                break
+    def stream() -> Iterator[tuple]:
+        xs: list = []
+        ys: list = []
+        x_source, y_source = iter(g), iter(h)
+        for k in itertools.count():
+            if len(xs) == k:
+                xs.extend(itertools.islice(x_source, 1))
+            if len(ys) == k:
+                ys.extend(itertools.islice(y_source, 1))
+            if not xs or not ys or (len(xs) <= k and len(ys) <= k):
+                return
             if k < len(ys):
-                for i in range(min(k, len(xs))):
-                    out.append((xs[i], ys[k]))
+                y = ys[k]
+                for x in xs[:k]:
+                    yield (x, y)
             if k < len(xs):
-                for j in range(min(k, len(ys))):
-                    out.append((xs[k], ys[j]))
-            if k < len(xs) and k < len(ys):
-                out.append((xs[k], ys[k]))
-        return out[:n]
+                x = xs[k]
+                for y in ys[:k]:
+                    yield (x, y)
+                if k < len(ys):
+                    yield (x, ys[k])
 
-    return Generator(gen)
+    return Generator(stream)
 
 
 def gmap(f: Callable[[Any], Any], g: Generator) -> Generator:
@@ -174,7 +208,7 @@ def gmap(f: Callable[[Any], Any], g: Generator) -> Generator:
     ``f`` must be injective on the enumerated range, otherwise the image
     would contain duplicates and the distinctness guarantee would break.
     """
-    return Generator(lambda n: [f(x) for x in g.generate(n)])
+    return Generator(lambda: map(f, g))
 
 
 def gtriple(g: Generator, h: Generator, k: Generator) -> Generator:
@@ -185,46 +219,54 @@ def gtriple(g: Generator, h: Generator, k: Generator) -> Generator:
 _EXHAUSTED = object()
 
 
+def _shell(elems: list, m: int, k: int) -> Iterator[tuple]:
+    """The length-``k`` tuples over ``elems[:m+1]`` that contain ``elems[m]``,
+    in lexicographic order of their indices (``k >= 1``)."""
+    if k > 1:
+        for x in elems[:m]:
+            for rest in _shell(elems, m, k - 1):
+                yield (x,) + rest
+    head = (elems[m],)
+    for rest in itertools.product(elems[: m + 1], repeat=k - 1):
+        yield head + rest
+
+
 def lists_of(g: Generator, max_len: int = 4) -> Generator:
     """Short lists over ``g``: lengths 0..max_len, interleaved fairly.
 
-    Each length-``k`` stream enumerates index tuples over the marginal
-    prefix in max-index shells (the same balancing idea as `gpair`); one
-    item is then taken from each live stream per round.  A stream that
-    runs dry is dropped from later rounds, which can only happen once its
-    element universe is exhausted — so the interleaving is stable as the
-    budget grows.
+    Each length-``k`` stream enumerates index tuples over the marginal in
+    max-index shells (the same balancing idea as `gpair`); one item is
+    then taken from each live stream per round.  The streams share one
+    element list, pulled from ``g`` only when a shell first needs it.  A
+    stream that runs dry is dropped from later rounds, which can only
+    happen once its element universe is exhausted — so the interleaving is
+    the same at every budget.
     """
 
-    def tuples_of(elems: list, k: int) -> Iterator[tuple]:
-        if k == 0:
-            yield ()
-            return
-        for m in range(len(elems)):
-            for idxs in itertools.product(range(m + 1), repeat=k):
-                if max(idxs) == m:
-                    yield tuple(elems[i] for i in idxs)
+    def stream() -> Iterator[list]:
+        elems: list = []
+        source = iter(g)
 
-    def gen(n: int) -> list:
-        if n <= 0:
-            return []
-        elems = g.generate(n)
-        streams = [tuples_of(elems, k) for k in range(max_len + 1)]
-        out: list = []
-        while streams and len(out) < n:
+        def tuples_of(k: int) -> Iterator[tuple]:
+            for m in itertools.count():
+                if len(elems) == m:
+                    elems.extend(itertools.islice(source, 1))
+                if len(elems) == m:
+                    return
+                yield from _shell(elems, m, k)
+
+        streams = [iter([()])] + [tuples_of(k) for k in range(1, max_len + 1)]
+        while streams:
             survivors = []
             for s in streams:
                 item = next(s, _EXHAUSTED)
                 if item is _EXHAUSTED:
                     continue
                 survivors.append(s)
-                out.append(list(item))
-                if len(out) == n:
-                    return out
+                yield list(item)
             streams = survivors
-        return out
 
-    return Generator(gen)
+    return Generator(stream)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Verdict semantics, the budget-indexed Check wrapper, and the generic
 dispatcher that turns marked values into runnable checks.
 """
+import itertools
+
+import pytest
+
 from purecheck import (
     Falsified,
     For,
+    Generator,
     Holds,
     LogicalError,
     Meta,
@@ -69,14 +74,75 @@ def test_non_bool_body_is_logical_error():
 
 
 def test_generator_exception_is_tactical_error():
-    def explode(n):
+    def explode():
         raise RuntimeError("no samples here")
-
-    from purecheck.generators import Generator
 
     c = check_with(Generator(explode), lambda x: True)
     v = c.perform(5)
     assert isinstance(v, TacticalError)
+
+
+def _raising_after(k):
+    """A stream of 0..k-1 whose enumeration raises at index k."""
+
+    def make():
+        yield from range(k)
+        raise RuntimeError(f"no sample {k}")
+
+    return Generator(make)
+
+
+def test_counterexample_before_a_raising_sample_is_falsified():
+    # the first thing that goes wrong in enumeration order decides
+    g = _raising_after(3)
+    for n in (3, 4, 10**9):
+        assert check_with(g, lambda x: x != 2).perform(n) == Falsified("2")
+    assert check_with(g, lambda x: True).perform(3) == Holds()
+    assert isinstance(check_with(g, lambda x: True).perform(4), TacticalError)
+
+
+def test_raising_stream_raises_again_on_every_later_pull():
+    g = _raising_after(2)
+    c = check_with(g, lambda x: True)
+    first = c.perform(5)
+    assert isinstance(first, TacticalError) and "no sample 2" in first.diagnostic
+    assert c.perform(5) == first
+    assert check_with(g, lambda x: True).perform(5) == first
+    assert g.generate(2) == [0, 1]
+    depths = []
+    for _ in range(3):
+        with pytest.raises(RuntimeError, match="no sample 2") as raised:
+            g.generate(3)
+        depths.append(len(raised.traceback))
+    assert depths[1] == depths[2]  # re-raising does not grow the stored traceback
+
+
+def test_interrupted_stream_resumes_after_its_memo():
+    interrupted = []
+
+    def make():
+        for x in itertools.count():
+            if x == 2 and not interrupted:
+                interrupted.append(x)
+                raise KeyboardInterrupt
+            yield x
+
+    g = Generator(make)
+    with pytest.raises(KeyboardInterrupt):
+        g.generate(5)
+    assert g.generate(5) == [0, 1, 2, 3, 4]
+
+
+def test_check_with_stops_at_the_first_counterexample():
+    pulls = []
+
+    def make():
+        for x in itertools.count():
+            pulls.append(x)
+            yield x
+
+    assert check_with(Generator(make), lambda x: x < 2).perform(10**9) == Falsified("2")
+    assert pulls == [0, 1, 2]
 
 
 def test_conjunction_all_hold():

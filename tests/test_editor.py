@@ -363,6 +363,28 @@ def test_editors_generator_is_prefix_monotone(m, n):
     assert editors.generate(n)[:m] == editors.generate(m)
 
 
+def test_editors_are_enumerated_once():
+    editors.generate(3000)
+    misses = semantics.cache_info().misses
+    assert len(editors.generate(3000)) == 3000
+    assert semantics.cache_info().misses == misses
+
+
+def test_semantics_cache_is_bounded():
+    assert semantics.cache_info().maxsize == 4096
+
+
+def test_repr_of_deep_automata():
+    # the generated repr recursed once per position
+    e = semantics(parse_word("+400:a"))
+    assert repr(e).startswith("Try(insertion=Ins(prefix='', next=Skip(next=Ins(")
+    assert repr(e).count("Skip(next=") == 400
+    assert repr(Try(Ins("x", Del("a", Ins("", Skip(DONE)))))) == (
+        "Try(insertion=Ins(prefix='x', next=Del(char='a', next=Ins(prefix='', "
+        "next=Skip(next=Ins(prefix='', next=Return()))))))"
+    )
+
+
 def test_word_equiv_on_deep_automata():
     # equality and hashing of automata hundreds of positions deep
     x, y = parse_word("+200:a,+0:b"), parse_word("+0:b,+201:a")

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from purecheck import (
+    Generator,
     booleans,
     characters,
     default_generator,
@@ -82,6 +84,49 @@ def test_gpair_balance():
         assert max(max(i, j) for i, j in pairs) <= bound
 
 
+def _counting(pulls):
+    """A naturals-like stream that records each sample it enumerates."""
+
+    def make():
+        for x in itertools.count():
+            pulls.append(x)
+            yield x
+
+    return Generator(make)
+
+
+def test_gpair_pulls_about_sqrt_n_from_each_marginal():
+    for n in (1, 2, 4, 5, 10, 100, 1000):
+        left, right = [], []
+        assert len(gpair(_counting(left), _counting(right)).generate(n)) == n
+        assert len(left) <= math.isqrt(n) + 1
+        assert len(right) <= math.isqrt(n) + 1
+
+
+def test_gpair_matches_the_full_square_shell_order():
+    # the shell order written out over whole marginal prefixes
+    def shells(xs, ys):
+        out = []
+        for k in range(max(len(xs), len(ys))):
+            if k < len(ys):
+                out += [(x, ys[k]) for x in xs[:k]]
+            if k < len(xs):
+                out += [(xs[k], y) for y in ys[:k]]
+            if k < len(xs) and k < len(ys):
+                out.append((xs[k], ys[k]))
+        return out
+
+    marginals = [
+        ([0, 1, 2], list(range(50))),
+        (list(range(50)), [0]),
+        ([], [0, 1]),
+        (list(range(30)), list(range(30))),
+    ]
+    for xs, ys in marginals:
+        got = gpair(from_values(xs), from_values(ys)).generate(1000)
+        assert got == (shells(xs, ys) if xs and ys else [])
+
+
 def test_gmap_image():
     assert gmap(lambda x: 2 * x, integers()).generate(3) == [0, 2, -2]
 
@@ -109,6 +154,49 @@ def test_lists_short_and_varied():
     assert all(len(xs) <= 4 for xs in got)
     lengths = {len(xs) for xs in got}
     assert {0, 1, 2} <= lengths
+
+
+def _filtered_lists_of(elems, n, max_len=4):
+    """Reference: the first ``n`` lists of `lists_of` over a finite prefix
+    of its marginal, each shell found by filtering the whole index cube."""
+
+    def tuples_of(k):
+        if k == 0:
+            yield ()
+            return
+        for m in range(len(elems)):
+            for idxs in itertools.product(range(m + 1), repeat=k):
+                if max(idxs) == m:
+                    yield tuple(elems[i] for i in idxs)
+
+    streams = [tuples_of(k) for k in range(max_len + 1)]
+    out = []
+    while streams and len(out) < n:
+        survivors = []
+        for s in streams:
+            item = next(s, None)
+            if item is None:
+                continue
+            survivors.append(s)
+            out.append(list(item))
+            if len(out) == n:
+                return out
+        streams = survivors
+    return out
+
+
+def test_lists_of_matches_the_filtered_shell_enumeration():
+    assert lists_of(integers()).generate(2000) == _filtered_lists_of(integers().generate(2000), 2000)
+    assert lists_of(booleans(), 3).generate(100) == _filtered_lists_of([False, True], 100, 3)
+    assert lists_of(from_values([])).generate(5) == [[]]
+
+
+def test_lists_of_pulls_its_marginal_on_demand():
+    # the length-1 lists use a new element every round of five lists
+    for n in (1, 2, 6, 100, 2000):
+        pulls = []
+        lists_of(_counting(pulls)).generate(n)
+        assert len(pulls) <= n // 4 + 1
 
 
 def test_default_generator_resolution():

@@ -300,12 +300,20 @@ def test_cli_oracle_reports_missing_file(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_default_suite_report_is_unchanged_at_confidence_100():
+def _default_suite_digest(confidence):
     # sha256 of the JSON report with timings dropped, in canonical form:
     # any change to a verdict, counterexample or entry shows here
-    doc = json.loads(report_json(run_suite(default_suite(), 100)))
+    doc = json.loads(report_json(run_suite(default_suite(), confidence)))
     for entry in doc["entries"]:
         del entry["ms"]
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    assert digest == "fc414742c08d2761f36505673fafe1c1bcd8811e2367d99f574a3574ad786333"
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_default_suite_report_is_unchanged_at_confidence_100():
+    assert _default_suite_digest(100) == "fc414742c08d2761f36505673fafe1c1bcd8811e2367d99f574a3574ad786333"
+
+
+def test_default_suite_report_is_unchanged_at_confidence_1000_and_3000():
+    assert _default_suite_digest(1000) == "3540e3988e84dfc3a3217746cff64486cfa99861a2b8a77388b54ac967d3dc95"
+    assert _default_suite_digest(3000) == "2eab542ab7178328339eadb97196635fbd2b19cbfff33d1f5c90166a8e072377"
