@@ -271,20 +271,14 @@ def check(p: Meta) -> Check:
     if isinstance(value, For):
         return check_with(value.bound, Meta(value.body))
     if callable(value):
-        return _check_callable(value)
+        try:
+            g = _domain_of(value)
+        except Exception as e:  # noqa: BLE001
+            diagnostic = f"cannot infer a sample domain: {e}"
+            return Check(lambda n: TacticalError(diagnostic))
+        return check_with(g, value)
     bad = type(value).__name__
     return Check(lambda n: TacticalError(f"no checkable reading for {bad}"))
-
-
-def _check_callable(fn: Callable) -> Check:
-    def perform(n: int) -> Verdict:
-        try:
-            g = _domain_of(fn)
-        except Exception as e:  # noqa: BLE001
-            return TacticalError(f"cannot infer a sample domain: {e}")
-        return check_with(g, fn).perform(n)
-
-    return Check(perform)
 
 
 def _domain_of(fn: Callable) -> Generator:

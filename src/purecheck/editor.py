@@ -513,10 +513,14 @@ def cons_eq(x: Editor, y: Editor) -> Meta:
 # rendering
 
 
+@render.register(Try)
+@render.register(Fail)
+@render.register(Ins)
 def render_editor(a: Union[Editor, Ins]) -> str:
     """Stable text form, e.g. ``Try[Ins "ab"; Skip; Ins ""; Return]``.
 
-    Every node is shown, including empty insertions.
+    Every node is shown, including empty insertions; it is also how
+    counterexample reports `render` automata.
     """
     if isinstance(a, Fail):
         return "Fail"
@@ -532,21 +536,6 @@ def render_editor(a: Union[Editor, Ins]) -> str:
             parts.append(f"Del '{step.char}'")
     body = "; ".join(parts)
     return f"Try[{body}]" if isinstance(a, Try) else body
-
-
-@render.register
-def _(value: Try) -> str:
-    return render_editor(value)
-
-
-@render.register
-def _(value: Fail) -> str:
-    return render_editor(value)
-
-
-@render.register
-def _(value: Ins) -> str:
-    return render_editor(value)
 
 
 # ---------------------------------------------------------------------------

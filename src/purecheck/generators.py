@@ -1,11 +1,11 @@
 """Deterministic, size-bounded sample enumeration.
 
 A :class:`Generator` is a memoised, restartable stream of samples, built
-from a factory of iterators.  Iterating it replays the samples already
-enumerated and extends them from one live iterator, so each sample is
-enumerated at most once per generator per process; ``generate(n)`` is the
-first ``n`` samples as a list.  Every generator exported here upholds four
-guarantees:
+from a factory of iterators.  One method extends the memo from one live
+iterator; iterating replays the memo and extends it at its frontier, so
+each sample is enumerated at most once per generator per process, and
+``generate(n)`` is the memo's first ``n`` samples.  Every generator
+exported here upholds four guarantees:
 
 * **size bound** — ``generate(n)`` has at most ``n`` elements;
 * **determinism** — two calls with the same budget return the same list;
@@ -20,13 +20,15 @@ hide one that a smaller budget already found.  The price is memory: a
 generator keeps every sample it has enumerated, so a process holds as many
 samples as the highest budget it has asked of each generator.
 
-Products are enumerated in *square shells* rather than by nesting loops:
-shell ``k`` holds the pairs whose larger marginal index is exactly ``k``,
-so the first ``k*k`` pairs of a product cover the full ``k`` x ``k`` grid
-of marginal prefixes.  This keeps both sides of a product growing at the
-same ~sqrt(n) rate, which is what makes multi-argument properties worth
-testing at small budgets, and it means a product pulls only ~sqrt(n)
-samples from each marginal.
+Products are enumerated in *max-index shells* rather than by nesting
+loops: shell ``m`` holds the tuples whose largest marginal index is
+exactly ``m``, so the first ``m*m`` pairs of a product cover the full
+``m`` x ``m`` grid of marginal prefixes.  This keeps every side of a
+product growing at the same rate, which is what makes multi-argument
+properties worth testing at small budgets, and it means a product pulls
+only ~sqrt(n) samples from each marginal.  One enumerator, `_shells`,
+serves both `gpair` and the fixed-length streams of `lists_of`; it reads
+each marginal by index from the marginal's own memo.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class Generator:
 
     ``make`` is a zero-argument factory of iterables that must produce the
     same sequence every time it is called.  It is called once, lazily, and
-    again only to resume after an interruption (see ``__iter__``).
+    again only to resume after an interruption (see ``_upto``).
     """
 
     def __init__(self, make: Callable[[], Iterable]):
@@ -58,37 +60,43 @@ class Generator:
         self._error: Optional[Exception] = None
         self._error_tb: Optional[TracebackType] = None
 
-    def __iter__(self) -> Iterator:
-        """Replay the memo, then extend it from the live iterator.
+    def _upto(self, n: int) -> list:
+        """Extend the memo to at least ``n`` samples and return it.
 
-        An exception raised while enumerating is stored and raised again at
+        The memo comes back shorter only if the stream has ended.  An
+        exception raised while enumerating is stored and raised again at
         the same index on every later pull, so a stream that failed never
         looks shorter than it is.  An interrupt (``KeyboardInterrupt`` and
         the like) is not stored: the next pull resumes after the memo.
         """
         memo = self._memo
+        while len(memo) < n:
+            if self._error is not None:
+                # the original traceback, so that re-raising does not grow it
+                raise self._error.with_traceback(self._error_tb)
+            try:
+                memo.append(next(self._live))
+            except StopIteration:
+                break
+            except Exception as e:
+                self._error, self._error_tb = e, e.__traceback__
+                raise
+            except BaseException:
+                self._live = _resume(self._make, len(memo))
+                raise
+        return memo
+
+    def __iter__(self) -> Iterator:
+        """Replay the memo, extending it only at its frontier."""
+        memo = self._memo
         i = 0
-        while True:
-            if i == len(memo):
-                if self._error is not None:
-                    # the original traceback, so that re-raising does not grow it
-                    raise self._error.with_traceback(self._error_tb)
-                try:
-                    memo.append(next(self._live))
-                except StopIteration:
-                    return
-                except Exception as e:
-                    self._error, self._error_tb = e, e.__traceback__
-                    raise
-                except BaseException:
-                    self._live = _resume(self._make, len(memo))
-                    raise
+        while i < len(memo) or i < len(self._upto(i + 1)):
             yield memo[i]
             i += 1
 
     def generate(self, n: int) -> list:
         """The first ``n`` samples (none for ``n <= 0``)."""
-        return list(itertools.islice(self, max(n, 0)))
+        return self._upto(n)[: max(n, 0)]
 
 
 def from_values(values: Iterable) -> Generator:
@@ -166,40 +174,47 @@ def strings() -> Generator:
 # combinators
 
 
+def _shell(memos: tuple, m: int) -> Iterator[tuple]:
+    """The tuples over ``memos`` whose largest index is ``m``, in
+    lexicographic order of their indices (at least one column)."""
+    first, rest = memos[0], memos[1:]
+    if rest:
+        # the tails that reach index m are the same for every head below m
+        tails = list(_shell(rest, m))
+        for x in first[:m]:
+            for tail in tails:
+                yield (x,) + tail
+    if m < len(first):
+        head = (first[m],)
+        for tail in itertools.product(*(xs[: m + 1] for xs in rest)):
+            yield head + tail
+
+
+def _shells(cols: tuple) -> Iterator[tuple]:
+    """The product of the marginals ``cols`` in max-index shells.
+
+    Shell ``m`` holds the tuples whose largest index is ``m``, in
+    lexicographic index order; it reads the marginals' memos by index,
+    pulling sample ``m`` of each when the shell begins.  Indices past the
+    end of a finite marginal are skipped, and the product ends when every
+    marginal has run dry (at once, if any is empty).
+    """
+    for m in itertools.count():
+        memos = tuple(g._upto(m + 1) for g in cols)
+        if not all(memos) or all(len(xs) <= m for xs in memos):
+            return
+        yield from _shell(memos, m)
+
+
 def gpair(g: Generator, h: Generator) -> Generator:
     """Cartesian product in square-shell order.
 
     Shell ``k`` contributes first the column ``(x_i, y_k)`` for ``i < k``,
     then the row ``(x_k, y_j)`` for ``j < k``, then the corner
-    ``(x_k, y_k)``.  ``x_k`` and ``y_k`` are pulled when shell ``k``
-    begins; indices past the end of a finite marginal are skipped, and the
-    product ends when both marginals have run dry (at once, if either is
-    empty).
+    ``(x_k, y_k)``: the index pairs whose larger index is ``k``, in
+    lexicographic order (see `_shells`).
     """
-
-    def stream() -> Iterator[tuple]:
-        xs: list = []
-        ys: list = []
-        x_source, y_source = iter(g), iter(h)
-        for k in itertools.count():
-            if len(xs) == k:
-                xs.extend(itertools.islice(x_source, 1))
-            if len(ys) == k:
-                ys.extend(itertools.islice(y_source, 1))
-            if not xs or not ys or (len(xs) <= k and len(ys) <= k):
-                return
-            if k < len(ys):
-                y = ys[k]
-                for x in xs[:k]:
-                    yield (x, y)
-            if k < len(xs):
-                x = xs[k]
-                for y in ys[:k]:
-                    yield (x, y)
-                if k < len(ys):
-                    yield (x, ys[k])
-
-    return Generator(stream)
+    return Generator(lambda: _shells((g, h)))
 
 
 def gmap(f: Callable[[Any], Any], g: Generator) -> Generator:
@@ -219,43 +234,19 @@ def gtriple(g: Generator, h: Generator, k: Generator) -> Generator:
 _EXHAUSTED = object()
 
 
-def _shell(elems: list, m: int, k: int) -> Iterator[tuple]:
-    """The length-``k`` tuples over ``elems[:m+1]`` that contain ``elems[m]``,
-    in lexicographic order of their indices (``k >= 1``)."""
-    if k > 1:
-        for x in elems[:m]:
-            for rest in _shell(elems, m, k - 1):
-                yield (x,) + rest
-    head = (elems[m],)
-    for rest in itertools.product(elems[: m + 1], repeat=k - 1):
-        yield head + rest
-
-
 def lists_of(g: Generator, max_len: int = 4) -> Generator:
     """Short lists over ``g``: lengths 0..max_len, interleaved fairly.
 
-    Each length-``k`` stream enumerates index tuples over the marginal in
-    max-index shells (the same balancing idea as `gpair`); one item is
-    then taken from each live stream per round.  The streams share one
-    element list, pulled from ``g`` only when a shell first needs it.  A
-    stream that runs dry is dropped from later rounds, which can only
+    The length-``k`` lists are the ``k``-fold product of ``g`` with itself
+    in max-index shells, the same enumerator as `gpair`, reading ``g``'s
+    memo by index; one item is then taken from each live stream per round.
+    A stream that runs dry is dropped from later rounds, which can only
     happen once its element universe is exhausted — so the interleaving is
     the same at every budget.
     """
 
     def stream() -> Iterator[list]:
-        elems: list = []
-        source = iter(g)
-
-        def tuples_of(k: int) -> Iterator[tuple]:
-            for m in itertools.count():
-                if len(elems) == m:
-                    elems.extend(itertools.islice(source, 1))
-                if len(elems) == m:
-                    return
-                yield from _shell(elems, m, k)
-
-        streams = [iter([()])] + [tuples_of(k) for k in range(1, max_len + 1)]
+        streams = [iter([()])] + [_shells((g,) * k) for k in range(1, max_len + 1)]
         while streams:
             survivors = []
             for s in streams:

@@ -1,6 +1,7 @@
 """Verdict semantics, the budget-indexed Check wrapper, and the generic
 dispatcher that turns marked values into runnable checks.
 """
+import importlib
 import itertools
 
 import pytest
@@ -233,6 +234,27 @@ def test_check_of_unannotated_predicate_is_tactical_error():
     v = check(Meta(lambda x: True)).perform(5)
     assert isinstance(v, TacticalError)
     assert "domain" in v.diagnostic
+
+
+def test_predicate_domain_is_resolved_once(monkeypatch):
+    # the package's `check` attribute is the function, not the module
+    module = importlib.import_module("purecheck.check")
+    calls = []
+    resolve = module.default_generator
+
+    def counting(t):
+        calls.append(t)
+        return resolve(t)
+
+    monkeypatch.setattr(module, "default_generator", counting)
+
+    def p(xs: list[int]) -> bool:
+        return len(xs) <= 4
+
+    c = check(Meta(p))
+    assert isinstance(c.perform(50), Holds)
+    assert isinstance(c.perform(50), Holds)
+    assert calls == [list[int]]
 
 
 def test_check_of_opaque_value_is_tactical_error():

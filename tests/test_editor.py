@@ -5,6 +5,8 @@ Frozen expected structures in this file were derived by hand-running the
 splicing rules and cross-checked against `brute_force_equiv`, which compares
 behaviour pointwise over a finite string universe.
 """
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from purecheck import (
     DefUndef,
     Del,
     Diff,
+    Edit,
     EditOp,
     Fail,
     Holds,
@@ -402,3 +405,40 @@ def test_witness_diff_past_the_printable_pool():
     assert s is not None and s.isprintable()
     assert action(s, x) != action(s, y)
     assert check(cons_eq(semantics(x), semantics(y))).perform(1) == Holds()
+
+
+# -- differential: the model against direct application ---------------------------
+
+
+def _random_word(rng, alphabet="abcxyz", max_pos=200):
+    return Word(
+        tuple(
+            Literal(
+                rng.choice(list(Polarity)),
+                Edit(rng.choice(list(EditOp)), rng.randint(0, max_pos), rng.choice(alphabet)),
+            )
+            for _ in range(rng.randint(0, 5))
+        )
+    )
+
+
+def test_model_agrees_with_action_on_long_words():
+    # words with positions up to 200 over a six-letter alphabet, far past
+    # what the brute-force universe reaches: random, reversed and identical
+    # pairs; a witness must separate different automata, and equal automata
+    # must agree on their defining input and on long probe strings
+    rng = random.Random(7)
+    probes = [
+        "".join(rng.choice("abcxyz") for _ in range(rng.randint(0, 210))) for _ in range(6)
+    ]
+    for _ in range(400):
+        x = _random_word(rng)
+        for y in (_random_word(rng), Word(x.literals[::-1]), x):
+            ex, ey = semantics(x), semantics(y)
+            if ex != ey:
+                s = witness_diff(ex, ey)
+                assert s is not None and action(s, x) != action(s, y), (x, y)
+                continue
+            for s in [witness_def(ex)] + probes:
+                if s is not None:
+                    assert action(s, x) == action(s, y), (x, y, s)

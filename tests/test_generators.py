@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -18,6 +19,7 @@ from purecheck import (
     naturals,
     strings,
 )
+from purecheck import editor, patches
 from purecheck.generators import CHARACTER_ORDER, Char
 
 
@@ -197,6 +199,27 @@ def test_lists_of_pulls_its_marginal_on_demand():
         pulls = []
         lists_of(_counting(pulls)).generate(n)
         assert len(pulls) <= n // 4 + 1
+
+
+def _digest(samples):
+    return hashlib.sha256(repr(samples).encode()).hexdigest()
+
+
+def test_enumeration_order_is_pinned():
+    # every default-suite entry holds, so its report cannot see a reordered
+    # product; these digests pin the samples themselves, in order
+    assert _digest(patches.words.generate(3000)) == (
+        "dbf332a52dce4fb8b598a671e1bb7f31bf271f0af79c1fa8018ed6a2f1566b1a"
+    )
+    assert _digest(editor.editors.generate(3000)) == (
+        "32db68a40035cdfa565516f9907e04139dea326865a25be4fc1c11502e710be3"
+    )
+    assert _digest(gpair(editor.editors, editor.editors).generate(1500)) == (
+        "e8c809805debb21beea927aba7c4cfffb4374fd7ec993fe277b6faba3de5d743"
+    )
+    assert _digest(lists_of(integers()).generate(2000)) == (
+        "4c8c5a49d7c787e2f170aadeeef6abf2ebc365bf63817c7898dcd7fd2faf347a"
+    )
 
 
 def test_default_generator_resolution():

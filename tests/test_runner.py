@@ -272,6 +272,58 @@ def test_cli_oracle_different(tmp_path, capsys):
     assert "different" in out
 
 
+@pytest.mark.parametrize(
+    "left, right, witness",
+    [
+        ("-0:c", "-0:d", "'c': left gives '', right gives undefined"),
+        ("+9:a", "+10:a", "'aaaaaaaaa': left gives 'aaaaaaaaaa', right gives undefined"),
+    ],
+)
+def test_cli_oracle_witness_separates_past_the_small_universe(
+    tmp_path, capsys, left, right, witness
+):
+    # {ab}^<=6 cannot tell these words apart; the model's witness can
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text(left + "\n")
+    b.write_text(right + "\n")
+    code = main(["oracle", str(a), str(b)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "brute force over {ab}^<=6: equal" in out
+    assert f"witness {witness}" in out
+    assert "DISAGREEMENT" not in out
+
+
+@pytest.mark.parametrize(
+    "broken, fake",
+    [
+        ("word_equiv", lambda x, y: True),  # brute force separates "equal" words
+        ("witness_diff", lambda x, y: None),  # "different" without a witness
+    ],
+)
+def test_cli_oracle_reports_a_real_disagreement(tmp_path, capsys, monkeypatch, broken, fake):
+    from purecheck import editor
+
+    monkeypatch.setattr(editor, broken, fake)
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("+0:a\n")
+    b.write_text("+0:b\n")
+    code = main(["oracle", str(a), str(b)])
+    assert code == 2
+    assert "DISAGREEMENT" in capsys.readouterr().out
+
+
+def test_cli_oracle_rejects_negative_max_len(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    a.write_text("+0:a\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--max-len", "-1", str(a), str(a)])
+    assert exc.value.code == 2
+    assert "--max-len" in capsys.readouterr().err
+
+
 def test_cli_oracle_skips_blank_lines(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
