@@ -3,7 +3,7 @@
 An :data:`Editor` is a tiny one-pass automaton over an input string.  It
 alternates *insertion* nodes (emit a fixed prefix) with *consumption*
 steps (copy one input character, or require-and-drop a specific one),
-and ends by echoing whatever input remains:
+and ends by echoing whatever input remains.  In nested spelling:
 
 * ``Fail`` — defined on no input;
 * ``Try(Ins(prefix, k))`` — emit ``prefix``, then run ``k``;
@@ -12,10 +12,18 @@ and ends by echoing whatever input remains:
   emit nothing, then run ``a``;
 * ``Return`` — echo the rest of the input.
 
+An :class:`Ins` stores that chain flat, as two tuples: ``prefixes``, one
+string per insertion node, and ``steps``, the consumption after each node
+but the last — ``None`` for a ``Skip``, the required character for a
+``Del``.  ``Return`` is implied after the last prefix.  ``Ins(prefix, k)``
+still builds one from the nested spelling, whose ``Skip``/``Del``/
+``Return`` serve only as its arguments.
+
 The *normal form* demands that no nonempty insertion directly follows a
 deletion: text inserted right after a ``Del`` is indistinguishable from
 the same text inserted right before it, so the representation commits to
-"before".  The :func:`ins` constructor restores this form locally.
+"before".  Restoring it is one local loop: while the step in front of a
+nonempty prefix is a ``Del``, move the prefix to the node before it.
 
 Single edits splice into automata (:func:`editor_insert` /
 :func:`editor_delete`), and folding a whole word of edits over the
@@ -34,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import generators, patches
 from .check import Check, For, Meta, NestedFor, check, qmerge, render
@@ -54,6 +62,7 @@ class Return:
 @dataclass(frozen=True)
 class Skip:
     next: "Ins"
+    char = None  # the step a Skip stands for: no required character
 
 
 @dataclass(frozen=True)
@@ -65,51 +74,38 @@ class Del:
 Consumption = Union[Skip, Del, Return]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Ins:
-    prefix: str
-    next: Consumption
+    """An insertion chain: ``prefixes[k]`` is emitted before ``steps[k]``,
+    and the last prefix before the rest of the input is echoed."""
 
-    # Equality, hashing and repr read the spine in one loop; the generated
-    # methods would recurse once per position and overflow the stack on
-    # automata a few hundred positions deep.
+    prefixes: Tuple[str, ...]
+    steps: Tuple[Optional[str], ...]
 
-    def _flat(self) -> tuple:
-        """The spine as one flat tuple: each prefix, then the deleted
-        character for a ``Del``, or the class of a ``Skip`` or ``Return``."""
-        out: list = []
-        node = self
-        while True:
-            step = node.next
-            out.append(node.prefix)
-            out.append(step.char if isinstance(step, Del) else type(step))
-            if isinstance(step, Return):
-                return tuple(out)
-            node = step.next
+    def __init__(self, prefix: str, next: Consumption) -> None:
+        if isinstance(next, Return):
+            prefixes, steps = (prefix,), ()
+        else:
+            prefixes, steps = (prefix, *next.next.prefixes), (next.char, *next.next.steps)
+        object.__setattr__(self, "prefixes", prefixes)
+        object.__setattr__(self, "steps", steps)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ins):
-            return NotImplemented
-        return self is other or self._flat() == other._flat()
-
-    def __hash__(self) -> int:
-        return hash(self._flat())
+    @classmethod
+    def _of(cls, prefixes: List[str], steps: List[Optional[str]]) -> "Ins":
+        """The chain over the given prefixes and steps."""
+        a = cls.__new__(cls)
+        object.__setattr__(a, "prefixes", tuple(prefixes))
+        object.__setattr__(a, "steps", tuple(steps))
+        return a
 
     def __repr__(self) -> str:
-        """The text the generated ``__repr__`` would give, built in one loop."""
-        parts: list = []
-        node = self
-        while True:
-            parts.append(f"Ins(prefix={node.prefix!r}, next=")
-            step = node.next
-            if isinstance(step, Return):
-                parts.append(repr(step))
-                return "".join(parts) + ")" * (len(parts) - 1)
-            if isinstance(step, Del):
-                parts.append(f"Del(char={step.char!r}, next=")
-            else:
-                parts.append("Skip(next=")
-            node = step.next
+        """The text the nested dataclasses would give."""
+        opened = "".join(
+            f"Ins(prefix={p!r}, next=" + ("Skip(next=" if c is None else f"Del(char={c!r}, next=")
+            for p, c in zip(self.prefixes, self.steps)
+        )
+        last = f"Ins(prefix={self.prefixes[-1]!r}, next=Return())"
+        return opened + last + "))" * len(self.steps)
 
 
 @dataclass(frozen=True)
@@ -135,57 +131,46 @@ def ins(prefix: str, next: Consumption) -> Ins:
     of it — the two automata are operationally indistinguishable, and the
     normal form keeps only the hoisted one.
     """
-    if isinstance(next, Del):
-        inner = next.next
-        return Ins(prefix + inner.prefix, Del(next.char, Ins("", inner.next)))
-    return Ins(prefix, next)
+    a = Ins(prefix, next)
+    if not a.steps:
+        return a
+    ps, ss = list(a.prefixes), list(a.steps)
+    _hoist(ps, ss, 1)
+    return Ins._of(ps, ss)
 
 
 def is_normal(a: Union[Editor, Ins]) -> bool:
     """Structural scan for the no-insertion-after-deletion invariant."""
     if isinstance(a, Fail):
         return True
-    node = a.insertion if isinstance(a, Try) else a
-    while True:
-        step = node.next
-        if isinstance(step, Return):
-            return True
-        if isinstance(step, Del) and step.next.prefix:
-            return False
-        node = step.next
+    a = a.insertion if isinstance(a, Try) else a
+    return all(c is None or not p for c, p in zip(a.steps, a.prefixes[1:]))
 
 
 # ---------------------------------------------------------------------------
 # running an automaton
 
 
-def editor_action(s: str, a: Union[Editor, Ins, Consumption]) -> Optional[str]:
+def editor_action(s: str, a: Union[Editor, Ins]) -> Optional[str]:
     """Apply an automaton to an input string; ``None`` when it rejects."""
     if isinstance(a, Fail):
         return None
-    node = a.insertion if isinstance(a, Try) else a
+    if isinstance(a, Try):
+        a = a.insertion
+    elif not isinstance(a, Ins):
+        raise TypeError(f"not an automaton: {type(a).__name__}")
+    if len(s) < len(a.steps):
+        return None
     out: List[str] = []
-    i = 0
-    while True:
-        if isinstance(node, Ins):
-            out.append(node.prefix)
-            node = node.next
-        elif isinstance(node, Return):
-            out.append(s[i:])
-            return "".join(out)
-        elif isinstance(node, Skip):
-            if i >= len(s):
-                return None
-            out.append(s[i])
-            i += 1
-            node = node.next
-        elif isinstance(node, Del):
-            if i >= len(s) or s[i] != node.char:
-                return None
-            i += 1
-            node = node.next
+    for p, c, x in zip(a.prefixes, a.steps, s):
+        if c is None:
+            out += (p, x)
+        elif c == x:
+            out.append(p)
         else:
-            raise TypeError(f"not an automaton node: {type(node).__name__}")
+            return None
+    out += (a.prefixes[-1], s[len(a.steps) :])
+    return "".join(out)
 
 
 def _lift(a: Optional[Ins]) -> Editor:
@@ -202,26 +187,70 @@ def _(a: Union[Editor, Ins], s: str) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # splicing single edits
 #
-# Both splicers walk the automaton tracking how much *output* the nodes
-# passed so far produce, remember the path for rebuilding, and splice at
-# the node owning the target position.  Positions beyond all structure
-# fall into the echoed-input region and turn into chains of Skips.  Every
-# rebuild goes through `ins`, so prefixes created next to a deletion are
-# hoisted back into normal form.  Correctness is not argued here — the
-# test suite pins it against exhaustive application to concrete strings.
+# Each splicer copies the automaton's two tuples into lists and edits them
+# in place: it walks the nodes by index, tracking how much *output* the
+# nodes passed so far produce, and splices at the node owning the target
+# position.  Positions beyond all structure fall into the echoed-input
+# region and append a run of Skips.  The only edit that can break the
+# normal form turns a Skip into a Del in front of a nonempty prefix;
+# `_hoist` then moves that prefix left across every Del in front of it.
+# (An insertion never lands right after a Del: it passes a node only when
+# at least one more output character precedes the spot, and the prefix
+# after a Del is empty.)  Correctness is not argued here — the test suite
+# pins it against exhaustive application to concrete strings.
 
 
-def _rebuild(path: list, node: Ins) -> Ins:
-    cons: Consumption = Return()  # overwritten before use; path alternates strictly
-    for entry in reversed(path):
-        kind = entry[0]
-        if kind == "skip":
-            cons = Skip(node)
-        elif kind == "del":
-            cons = Del(entry[1], node)
-        else:  # "ins"
-            node = ins(entry[1], cons)
-    return node
+def _hoist(ps: List[str], ss: List[Optional[str]], k: int) -> None:
+    """Restore the normal form in front of node ``k``."""
+    while k and ss[k - 1] is not None and ps[k]:
+        ps[k - 1] += ps[k]
+        ps[k] = ""
+        k -= 1
+
+
+def _insert(ps: List[str], ss: List[Optional[str]], i: int, c: str) -> bool:
+    if i < 0:
+        return False
+    k = 0
+    while True:
+        p = ps[k]
+        if i <= len(p):
+            ps[k] = p[:i] + c + p[i:]
+            return True
+        i -= len(p)  # i >= 1 characters of later output precede the spot
+        if k == len(ss):  # Return: i input characters must be copied before inserting
+            ss += [None] * i
+            ps += [""] * (i - 1) + [c]
+            return True
+        if ss[k] is None:
+            i -= 1
+        k += 1
+
+
+def _delete(ps: List[str], ss: List[Optional[str]], i: int, c: str) -> bool:
+    if i < 0:
+        return False
+    k = 0
+    while True:
+        p = ps[k]
+        if i < len(p):
+            if p[i] != c:
+                return False  # that output position is fixed to a different character
+            ps[k] = p[:i] + p[i + 1 :]
+            return True
+        i -= len(p)
+        if k == len(ss):  # Return: delete lands in the echoed input region
+            ss += [None] * i + [c]
+            ps += [""] * (i + 1)
+            return True
+        if ss[k] is None:
+            if i == 0:
+                # deleting the copied character pins the input there to c
+                ss[k] = c
+                _hoist(ps, ss, k + 1)
+                return True
+            i -= 1
+        k += 1
 
 
 def editor_insert(a: Ins, i: int, c: str) -> Optional[Ins]:
@@ -230,26 +259,8 @@ def editor_insert(a: Ins, i: int, c: str) -> Optional[Ins]:
     The result, run on any input, equals running ``a`` first and then
     inserting into its output.  A negative position never applies.
     """
-    if i < 0:
-        return None
-    path: list = []
-    node = a
-    while True:
-        p, nxt = node.prefix, node.next
-        if i <= len(p):
-            return _rebuild(path, ins(p[:i] + c + p[i:], nxt))
-        j = i - len(p)  # j >= 1 characters of later output precede the spot
-        if isinstance(nxt, Skip):
-            path += [("ins", p), ("skip",)]
-            node, i = nxt.next, j - 1
-        elif isinstance(nxt, Del):
-            path += [("ins", p), ("del", nxt.char)]
-            node, i = nxt.next, j
-        else:  # Return: j input characters must be copied before inserting
-            tail: Consumption = Skip(Ins(c, Return()))
-            for _ in range(j - 1):
-                tail = Skip(Ins("", tail))
-            return _rebuild(path, ins(p, tail))
+    ps, ss = list(a.prefixes), list(a.steps)
+    return Ins._of(ps, ss) if _insert(ps, ss, i, c) else None
 
 
 def editor_delete(a: Ins, i: int, c: str) -> Optional[Ins]:
@@ -258,31 +269,8 @@ def editor_delete(a: Ins, i: int, c: str) -> Optional[Ins]:
     ``None`` when the composite is empty: deleting a character the
     automaton provably never produces there.
     """
-    if i < 0:
-        return None
-    path: list = []
-    node = a
-    while True:
-        p, nxt = node.prefix, node.next
-        if i < len(p):
-            if p[i] != c:
-                return None  # that output position is fixed to a different character
-            return _rebuild(path, ins(p[:i] + p[i + 1 :], nxt))
-        j = i - len(p)
-        if isinstance(nxt, Skip):
-            if j == 0:
-                # deleting the copied character pins the input there to c
-                return _rebuild(path, ins(p, Del(c, nxt.next)))
-            path += [("ins", p), ("skip",)]
-            node, i = nxt.next, j - 1
-        elif isinstance(nxt, Del):
-            path += [("ins", p), ("del", nxt.char)]
-            node, i = nxt.next, j
-        else:  # Return: delete lands in the echoed input region
-            tail: Consumption = Del(c, Ins("", Return()))
-            for _ in range(j):
-                tail = Skip(Ins("", tail))
-            return _rebuild(path, ins(p, tail))
+    ps, ss = list(a.prefixes), list(a.steps)
+    return Ins._of(ps, ss) if _delete(ps, ss, i, c) else None
 
 
 @splice.register
@@ -313,44 +301,22 @@ def word_equiv(x: Word, y: Word) -> bool:
 
 def is_total(a: Editor) -> bool:
     """An automaton is total iff it consumes nothing: prefix-then-echo."""
-    return isinstance(a, Try) and isinstance(a.insertion.next, Return)
+    return isinstance(a, Try) and not a.insertion.steps
 
 
 # ---------------------------------------------------------------------------
 # acceptance structure
 #
 # A Try-automaton accepts exactly the strings that are long enough and
-# match its per-position constraints: a Skip constrains nothing (any
-# character), a Del pins the input character.  The spine below Return is
-# irrelevant to acceptance — everything left over is echoed.
-
-
-def _spine(a: Ins) -> Iterator[Tuple[str, Optional[Consumption]]]:
-    """Yield (prefix, step) pairs along the automaton; step None at the end."""
-    node = a
-    while True:
-        nxt = node.next
-        if isinstance(nxt, Return):
-            yield node.prefix, None
-            return
-        yield node.prefix, nxt
-        node = nxt.next
-
-
-def _pattern(a: Ins) -> List[Optional[str]]:
-    """Per-position input constraints: None for Skip, the character for Del."""
-    out: List[Optional[str]] = []
-    for _prefix, step in _spine(a):
-        if step is None:
-            break
-        out.append(step.char if isinstance(step, Del) else None)
-    return out
+# match its per-position constraints, its ``steps``: a Skip (None)
+# constrains nothing, a Del pins the input character.  The input past the
+# steps is irrelevant to acceptance — everything left over is echoed.
 
 
 _FILLER = "a"
 
 
-def _fill(pattern: List[Optional[str]], overrides: Optional[dict] = None) -> str:
+def _fill(pattern: Sequence[Optional[str]], overrides: Optional[dict] = None) -> str:
     chars = []
     for idx, c in enumerate(pattern):
         if overrides and idx in overrides:
@@ -372,7 +338,7 @@ def witness_def(a: Editor) -> Optional[str]:
     """A shortest input the automaton accepts; ``None`` only for ``Fail``."""
     if isinstance(a, Fail):
         return None
-    return _fill(_pattern(a.insertion))
+    return _fill(a.insertion.steps)
 
 
 def witness_undef(a: Editor) -> Optional[str]:
@@ -398,7 +364,7 @@ def witness_def_undef(x: Editor, y: Editor) -> Optional[str]:
         return None
     if isinstance(y, Fail):
         return witness_def(x)
-    px, py = _pattern(x.insertion), _pattern(y.insertion)
+    px, py = x.insertion.steps, y.insertion.steps
     if len(px) < len(py):
         return _fill(px)  # too short for y
     for j in range(len(py)):
@@ -416,12 +382,20 @@ def witness_diff(x: Editor, y: Editor) -> Optional[str]:
     """An input on which the two automata disagree (including defined vs
     undefined); ``None`` exactly for structurally equal automata.
 
-    When both accept the same pattern language, the probe fills every
-    unconstrained position with a fresh character — pairwise distinct and
-    absent from both automata — so that equal outputs cannot arise from a
-    lucky coincidence between copied and inserted text.  Fresh characters
-    come from ``CHARACTER_ORDER`` first and then from the printable code
-    points past U+007F, so the pool never runs dry.
+    When neither accepts an input the other rejects, both are ``Try``
+    with equal steps, and being different they first differ in some prefix
+    ``k``.  The probe fills every Skip position with a character absent
+    from both automata.  Let ``m`` be the first Skip at or after node
+    ``k``.  Steps ``k`` to ``m - 1`` are Dels, so in normal form prefixes
+    ``k + 1`` to ``m`` are empty: past their common output, ``x`` emits
+    its prefix ``k`` and then probe character ``m``, and ``y`` its own
+    prefix ``k`` and then the same character.  As that character occurs in
+    neither prefix, equal outputs would need equal prefixes ``k``.  (With
+    no Skip at or after ``k``, both outputs end right after prefix ``k``.)
+    So only that one character must be fresh, not pairwise distinct from
+    the others.  Fresh characters come from ``CHARACTER_ORDER`` first and
+    then from the printable code points past U+007F, pairwise distinct
+    while they last and then cycled.
     """
     if x == y:
         return None
@@ -431,26 +405,16 @@ def witness_diff(x: Editor, y: Editor) -> Optional[str]:
     d = witness_def_undef(y, x)
     if d is not None:
         return d
-    # both Try, with identical acceptance patterns
-    pattern = _pattern(x.insertion)
-    used = _chars_of(x) | _chars_of(y)
-    beyond_ascii = filter(str.isprintable, map(chr, itertools.count(0x80)))
-    pool = (ch for ch in itertools.chain(generators.CHARACTER_ORDER, beyond_ascii) if ch not in used)
-    probe = "".join(c if c is not None else next(pool) for c in pattern)
+    # both Try, with equal steps
+    a, b = x.insertion, y.insertion
+    used = {*"".join(a.prefixes + b.prefixes), *filter(None, a.steps)}
+    beyond_ascii = filter(str.isprintable, map(chr, range(0x80, 0x110000)))
+    fresh = (ch for ch in itertools.chain(generators.CHARACTER_ORDER, beyond_ascii) if ch not in used)
+    pool = itertools.cycle(fresh)
+    probe = "".join(c if c is not None else next(pool) for c in a.steps)
     if editor_action(probe, x) != editor_action(probe, y):
         return probe
     return None
-
-
-def _chars_of(a: Editor) -> set:
-    if isinstance(a, Fail):
-        return set()
-    seen: set = set()
-    for prefix, step in _spine(a.insertion):
-        seen.update(prefix)
-        if isinstance(step, Del):
-            seen.add(step.char)
-    return seen
 
 
 # witness sources for the existential quantifiers
@@ -525,16 +489,11 @@ def render_editor(a: Union[Editor, Ins]) -> str:
     if isinstance(a, Fail):
         return "Fail"
     node = a.insertion if isinstance(a, Try) else a
-    parts: List[str] = []
-    for prefix, step in _spine(node):
-        parts.append(f'Ins "{prefix}"')
-        if step is None:
-            parts.append("Return")
-        elif isinstance(step, Skip):
-            parts.append("Skip")
-        else:
-            parts.append(f"Del '{step.char}'")
-    body = "; ".join(parts)
+    parts = [
+        f'Ins "{p}"; ' + ("Skip" if c is None else f"Del '{c}'")
+        for p, c in zip(node.prefixes, node.steps)
+    ]
+    body = "; ".join([*parts, f'Ins "{node.prefixes[-1]}"; Return'])
     return f"Try[{body}]" if isinstance(a, Try) else body
 
 

@@ -5,8 +5,10 @@ Frozen expected structures in this file were derived by hand-running the
 splicing rules and cross-checked against `brute_force_equiv`, which compares
 behaviour pointwise over a finite string universe.
 """
+import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +67,13 @@ def all_strings(alphabet="ab", max_len=6):
 
 
 # -- evaluation ---------------------------------------------------------------
+
+
+def test_editor_action_rejects_what_is_not_an_automaton():
+    # bare consumption steps only spell the arguments of `Ins`
+    for value in (Return(), Skip(DONE), Del("a", DONE), "abc", None):
+        with pytest.raises(TypeError, match="not an automaton"):
+            editor_action("abc", value)
 
 
 def test_done_echoes_input():
@@ -373,6 +382,14 @@ def test_editors_are_enumerated_once():
     assert semantics.cache_info().misses == misses
 
 
+def test_semantics_keeps_its_cache_counters_and_the_uncached_fold():
+    # the benchmark's per-layer probe reads both
+    info = semantics.cache_info()
+    assert {"hits", "misses", "maxsize", "currsize"} <= set(info._asdict())
+    for w in (LEFT, RIGHT, parse_word("+200:a,-3:b,~+0:c"), Word(())):
+        assert semantics.__wrapped__(w) == semantics(w)
+
+
 def test_semantics_cache_is_bounded():
     assert semantics.cache_info().maxsize == 4096
 
@@ -405,6 +422,17 @@ def test_witness_diff_past_the_printable_pool():
     assert s is not None and s.isprintable()
     assert action(s, x) != action(s, y)
     assert check(cons_eq(semantics(x), semantics(y))).perform(1) == Holds()
+
+
+@pytest.mark.parametrize(
+    "left, right", [("+300000:a", "+300000:b"), ("+200001:a", "+200000:a,+200002:a")]
+)
+def test_witness_diff_past_every_code_point(left, right):
+    # more unconstrained positions than there are printable code points
+    x, y = parse_word(left), parse_word(right)
+    s = witness_diff(semantics(x), semantics(y))
+    assert s is not None
+    assert action(s, x) != action(s, y)
 
 
 # -- differential: the model against direct application ---------------------------
@@ -442,3 +470,31 @@ def test_model_agrees_with_action_on_long_words():
             for s in [witness_def(ex)] + probes:
                 if s is not None:
                     assert action(s, x) == action(s, y), (x, y, s)
+
+
+def _clustered_word(rng):
+    # three runs of up to five literals, each run within nine positions of
+    # a base up to 192, so that edits land close enough to interact
+    literals = []
+    for _ in range(3):
+        base = rng.randint(0, 192)
+        literals += [
+            Literal(
+                rng.choice(list(Polarity)),
+                Edit(rng.choice(list(EditOp)), base + rng.randint(0, 8), rng.choice("abcxyz")),
+            )
+            for _ in range(rng.randint(0, 5))
+        ]
+    return Word(tuple(literals))
+
+
+def test_normal_forms_of_long_words_are_pinned():
+    # sha256 of the normal forms of 3000 seeded words of up to 15 literals,
+    # both polarities, positions up to 200: long enough for hoisting to
+    # cascade across several deletions
+    rng = random.Random(11)
+    ws = [_clustered_word(rng) for _ in range(3000)]
+    text = "\n".join(repr(semantics(w)) for w in ws)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9da614ea2a02c1433f6471d0dab6ff574714c230f0857e23e360867df38fa81a"
+    )

@@ -295,6 +295,19 @@ def test_cli_oracle_witness_separates_past_the_small_universe(
     assert "DISAGREEMENT" not in out
 
 
+def test_cli_oracle_separates_past_every_code_point(tmp_path, capsys):
+    # 300000 unconstrained positions outnumber the printable code points
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("+300000:a\n")
+    b.write_text("+300000:b\n")
+    code = main(["oracle", str(a), str(b)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "witness " in out
+    assert "DISAGREEMENT" not in out
+
+
 @pytest.mark.parametrize(
     "broken, fake",
     [
