@@ -12,25 +12,32 @@ and ends by echoing whatever input remains.  In nested spelling:
   emit nothing, then run ``a``;
 * ``Return`` — echo the rest of the input.
 
-An :class:`Ins` stores that chain flat, as two tuples: ``prefixes``, one
-string per insertion node, and ``steps``, the consumption after each node
-but the last — ``None`` for a ``Skip``, the required character for a
-``Del``.  ``Return`` is implied after the last prefix.  ``Ins(prefix, k)``
-still builds one from the nested spelling, whose ``Skip``/``Del``/
-``Return`` serve only as its arguments.
+An :class:`Ins` stores that chain flat and run-length encoded, as two
+tuples: ``prefixes``, one string per insertion node, and ``steps``, the
+consumption after each node but the last — the required character of a
+``Del``, or a positive count ``n`` for a run of ``n`` ``Skip``s whose
+``n - 1`` inner prefixes are empty.  ``Return`` is implied after the last
+prefix.  So an automaton's size tracks the edits folded into it, not the
+positions they reach.  ``Ins(prefix, k)`` still builds one from the
+nested spelling, whose ``Skip``/``Del``/``Return`` serve only as its
+arguments.
 
 The *normal form* demands that no nonempty insertion directly follows a
 deletion: text inserted right after a ``Del`` is indistinguishable from
 the same text inserted right before it, so the representation commits to
 "before".  Restoring it is one local loop: while the step in front of a
-nonempty prefix is a ``Del``, move the prefix to the node before it.
+nonempty prefix is a ``Del``, move the prefix to the node before it.  The
+encoding is canonical too: no empty prefix separates two runs, which are
+merged instead.  So structural equality of the tuples is equality of the
+nested chains.
 
 Single edits splice into automata (:func:`editor_insert` /
 :func:`editor_delete`), and folding a whole word of edits over the
-identity automaton gives its :func:`semantics`.  Two words denote the
-same partial string function exactly when their automata are structurally
-equal — which turns an undecidable-looking question about group words
-into an equality test (:func:`word_equiv`).  The witness constructions
+identity automaton, in place on one pair of lists, gives its
+:func:`semantics`.  Two words denote the same partial string function
+exactly when their automata are structurally equal — which turns an
+undecidable-looking question about group words into an equality test
+(:func:`word_equiv`).  The witness constructions
 at the bottom make the model self-describing: for any automaton (or pair)
 they produce concrete inputs demonstrating definedness, undefinedness,
 or disagreement, and the :func:`adequacy_suite` checks those claims with
@@ -48,7 +55,7 @@ from . import generators, patches
 from .check import Check, For, Meta, NestedFor, check, qmerge, render
 from .existentials import exists, exists_or_vacuous, exists_some
 from .generators import Generator, gpair, register_default
-from .patches import Edit, EditOp, Word, act, action, splice
+from .patches import Edit, EditOp, Polarity, Word, act, action, splice
 
 # ---------------------------------------------------------------------------
 # the automaton
@@ -62,7 +69,6 @@ class Return:
 @dataclass(frozen=True)
 class Skip:
     next: "Ins"
-    char = None  # the step a Skip stands for: no required character
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,9 @@ class Del:
 
 Consumption = Union[Skip, Del, Return]
 
+#: A ``Del``'s required character, or the length of a run of ``Skip``s.
+Step = Union[str, int]
+
 
 @dataclass(frozen=True, init=False, repr=False)
 class Ins:
@@ -80,18 +89,25 @@ class Ins:
     and the last prefix before the rest of the input is echoed."""
 
     prefixes: Tuple[str, ...]
-    steps: Tuple[Optional[str], ...]
+    steps: Tuple[Step, ...]
 
     def __init__(self, prefix: str, next: Consumption) -> None:
         if isinstance(next, Return):
             prefixes, steps = (prefix,), ()
         else:
-            prefixes, steps = (prefix, *next.next.prefixes), (next.char, *next.next.steps)
+            ps, ss = next.next.prefixes, next.next.steps
+            if isinstance(next, Del):
+                step = next.char
+            elif ss and not ps[0] and type(ss[0]) is int:  # joins the leading run
+                step, ps, ss = ss[0] + 1, ps[1:], ss[1:]
+            else:
+                step = 1
+            prefixes, steps = (prefix, *ps), (step, *ss)
         object.__setattr__(self, "prefixes", prefixes)
         object.__setattr__(self, "steps", steps)
 
     @classmethod
-    def _of(cls, prefixes: List[str], steps: List[Optional[str]]) -> "Ins":
+    def _of(cls, prefixes: List[str], steps: List[Step]) -> "Ins":
         """The chain over the given prefixes and steps."""
         a = cls.__new__(cls)
         object.__setattr__(a, "prefixes", tuple(prefixes))
@@ -101,11 +117,16 @@ class Ins:
     def __repr__(self) -> str:
         """The text the nested dataclasses would give."""
         opened = "".join(
-            f"Ins(prefix={p!r}, next=" + ("Skip(next=" if c is None else f"Del(char={c!r}, next=")
+            f"Ins(prefix={p!r}, next="
+            + (
+                f"Del(char={c!r}, next="
+                if type(c) is str
+                else "Skip(next=Ins(prefix='', next=" * (c - 1) + "Skip(next="
+            )
             for p, c in zip(self.prefixes, self.steps)
         )
         last = f"Ins(prefix={self.prefixes[-1]!r}, next=Return())"
-        return opened + last + "))" * len(self.steps)
+        return opened + last + "))" * len(_pattern(self.steps))
 
 
 @dataclass(frozen=True)
@@ -140,11 +161,15 @@ def ins(prefix: str, next: Consumption) -> Ins:
 
 
 def is_normal(a: Union[Editor, Ins]) -> bool:
-    """Structural scan for the no-insertion-after-deletion invariant."""
+    """Structural scan for both invariants: no insertion after a deletion,
+    and no empty prefix between two runs."""
     if isinstance(a, Fail):
         return True
     a = a.insertion if isinstance(a, Try) else a
-    return all(c is None or not p for c, p in zip(a.steps, a.prefixes[1:]))
+    return all(
+        not p if type(c) is str else c > 0 and (p or type(d) is not int)
+        for c, p, d in zip(a.steps, a.prefixes[1:], (*a.steps[1:], ""))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +184,21 @@ def editor_action(s: str, a: Union[Editor, Ins]) -> Optional[str]:
         a = a.insertion
     elif not isinstance(a, Ins):
         raise TypeError(f"not an automaton: {type(a).__name__}")
-    if len(s) < len(a.steps):
-        return None
     out: List[str] = []
-    for p, c, x in zip(a.prefixes, a.steps, s):
-        if c is None:
-            out += (p, x)
-        elif c == x:
+    j = 0
+    for p, c in zip(a.prefixes, a.steps):
+        if type(c) is str:
+            if s[j : j + 1] != c:
+                return None
             out.append(p)
+            j += 1
         else:
-            return None
-    out += (a.prefixes[-1], s[len(a.steps) :])
+            if len(s) < j + c:
+                return None
+            out += (p, s[j : j + c])
+            j += c
+    out += (a.prefixes[-1], s[j:])
     return "".join(out)
-
-
-def _lift(a: Optional[Ins]) -> Editor:
-    return Fail() if a is None else Try(a)
 
 
 @act.register(Try)
@@ -187,28 +211,41 @@ def _(a: Union[Editor, Ins], s: str) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # splicing single edits
 #
-# Each splicer copies the automaton's two tuples into lists and edits them
-# in place: it walks the nodes by index, tracking how much *output* the
-# nodes passed so far produce, and splices at the node owning the target
-# position.  Positions beyond all structure fall into the echoed-input
-# region and append a run of Skips.  The only edit that can break the
-# normal form turns a Skip into a Del in front of a nonempty prefix;
-# `_hoist` then moves that prefix left across every Del in front of it.
-# (An insertion never lands right after a Del: it passes a node only when
-# at least one more output character precedes the spot, and the prefix
-# after a Del is empty.)  Correctness is not argued here — the test suite
-# pins it against exhaustive application to concrete strings.
+# Each splicer edits a pair of lists, the automaton's prefixes and steps,
+# in place: it walks the nodes by index, one run at a time, tracking how
+# much *output* the nodes passed so far produce, and splices at the node
+# owning the target position.  A position inside a run splits the run
+# there.  Positions beyond all structure fall into the echoed-input
+# region and append a run of Skips, growing a trailing run that ends in an
+# empty prefix.  Two edits can break a form: a deletion that empties the
+# prefix between two runs (the runs merge), and a deletion that turns a
+# Skip into a Del in front of a nonempty prefix; `_hoist` then moves that
+# prefix left across every Del in front of it.  (An insertion never lands
+# right after a Del: it passes a node only when at least one more output
+# character precedes the spot, and the prefix after a Del is empty.  A
+# hoist empties only prefixes that follow a Del, so it never leaves two
+# runs to merge.)  Correctness is not argued here — the test suite pins
+# it against exhaustive application to concrete strings.
 
 
-def _hoist(ps: List[str], ss: List[Optional[str]], k: int) -> None:
+def _hoist(ps: List[str], ss: List[Step], k: int) -> None:
     """Restore the normal form in front of node ``k``."""
-    while k and ss[k - 1] is not None and ps[k]:
+    while k and type(ss[k - 1]) is str and ps[k]:
         ps[k - 1] += ps[k]
         ps[k] = ""
         k -= 1
 
 
-def _insert(ps: List[str], ss: List[Optional[str]], i: int, c: str) -> bool:
+def _skip(ps: List[str], ss: List[Step], n: int) -> None:
+    """Copy ``n`` more input characters after the last prefix."""
+    if ss and not ps[-1] and type(ss[-1]) is int:
+        ss[-1] += n
+    else:
+        ss.append(n)
+        ps.append("")
+
+
+def _insert(ps: List[str], ss: List[Step], i: int, c: str) -> bool:
     if i < 0:
         return False
     k = 0
@@ -219,15 +256,20 @@ def _insert(ps: List[str], ss: List[Optional[str]], i: int, c: str) -> bool:
             return True
         i -= len(p)  # i >= 1 characters of later output precede the spot
         if k == len(ss):  # Return: i input characters must be copied before inserting
-            ss += [None] * i
-            ps += [""] * (i - 1) + [c]
+            _skip(ps, ss, i)
+            ps[-1] = c
             return True
-        if ss[k] is None:
-            i -= 1
+        n = ss[k]
+        if type(n) is int:
+            if i < n:  # the spot is the empty prefix after the run's i-th Skip
+                ss[k : k + 1] = [i, n - i]
+                ps.insert(k + 1, c)
+                return True
+            i -= n
         k += 1
 
 
-def _delete(ps: List[str], ss: List[Optional[str]], i: int, c: str) -> bool:
+def _delete(ps: List[str], ss: List[Step], i: int, c: str) -> bool:
     if i < 0:
         return False
     k = 0
@@ -236,20 +278,28 @@ def _delete(ps: List[str], ss: List[Optional[str]], i: int, c: str) -> bool:
         if i < len(p):
             if p[i] != c:
                 return False  # that output position is fixed to a different character
-            ps[k] = p[:i] + p[i + 1 :]
+            ps[k] = p = p[:i] + p[i + 1 :]
+            if not p and 0 < k < len(ss) and type(ss[k - 1]) is type(ss[k]) is int:
+                ss[k - 1 : k + 1] = [ss[k - 1] + ss[k]]
+                del ps[k]
             return True
         i -= len(p)
         if k == len(ss):  # Return: delete lands in the echoed input region
-            ss += [None] * i + [c]
-            ps += [""] * (i + 1)
+            if i:
+                _skip(ps, ss, i)
+            ss.append(c)
+            ps.append("")
             return True
-        if ss[k] is None:
-            if i == 0:
-                # deleting the copied character pins the input there to c
-                ss[k] = c
-                _hoist(ps, ss, k + 1)
+        n = ss[k]
+        if type(n) is int:
+            if i < n:
+                # deleting the run's i-th copied character pins the input there to c
+                split = [m for m in (i, c, n - i - 1) if m]
+                ss[k : k + 1] = split
+                ps[k + 1 : k + 1] = [""] * (len(split) - 1)
+                _hoist(ps, ss, k + split.index(c) + 1)
                 return True
-            i -= 1
+            i -= n
         k += 1
 
 
@@ -287,11 +337,20 @@ def _(a: Ins, e: Edit) -> Optional[Ins]:
 def semantics(w: Word) -> Editor:
     """Fold a word's edits over the identity automaton.
 
-    An intermediate edit with an empty composite collapses the whole word
-    to ``Fail``.  The cache keeps the 4096 most recently used words; the
-    distinct automata that `editors` enumerates stay in its memo.
+    Every literal splices in place into one pair of lists; a negative
+    literal splices the inverse edit.  An intermediate edit with an empty
+    composite collapses the whole word to ``Fail``.  The cache keeps the
+    4096 most recently used words; the distinct automata that `editors`
+    enumerates stay in its memo.
     """
-    return _lift(act(w, DONE))
+    ps: List[str] = [""]
+    ss: List[Step] = []
+    for lit in w.literals:
+        e = lit.atom
+        splicer = _insert if (e.op is EditOp.INSERT) is (lit.polarity is Polarity.POSITIVE) else _delete
+        if not splicer(ps, ss, e.pos, e.arg):
+            return Fail()
+    return Try(Ins._of(ps, ss))
 
 
 def word_equiv(x: Word, y: Word) -> bool:
@@ -308,21 +367,29 @@ def is_total(a: Editor) -> bool:
 # acceptance structure
 #
 # A Try-automaton accepts exactly the strings that are long enough and
-# match its per-position constraints, its ``steps``: a Skip (None)
-# constrains nothing, a Del pins the input character.  The input past the
-# steps is irrelevant to acceptance — everything left over is echoed.
+# match its per-position constraints, its *pattern*: the steps expanded to
+# one entry per consumed character, where a Skip (None) constrains nothing
+# and a Del pins the input character.  The input past the pattern is
+# irrelevant to acceptance — everything left over is echoed.
 
 
 _FILLER = "a"
 
 
-def _fill(pattern: Sequence[Optional[str]], overrides: Optional[dict] = None) -> str:
-    chars = []
-    for idx, c in enumerate(pattern):
-        if overrides and idx in overrides:
-            chars.append(overrides[idx])
+def _pattern(steps: Sequence[Step]) -> List[Optional[str]]:
+    out: List[Optional[str]] = []
+    for c in steps:
+        if type(c) is str:
+            out.append(c)
         else:
-            chars.append(c if c is not None else _FILLER)
+            out += [None] * c
+    return out
+
+
+def _fill(pattern: Sequence[Optional[str]], overrides: Optional[dict] = None) -> str:
+    chars = [_FILLER if c is None else c for c in pattern]
+    for idx, c in (overrides or {}).items():
+        chars[idx] = c
     return "".join(chars)
 
 
@@ -338,7 +405,7 @@ def witness_def(a: Editor) -> Optional[str]:
     """A shortest input the automaton accepts; ``None`` only for ``Fail``."""
     if isinstance(a, Fail):
         return None
-    return _fill(a.insertion.steps)
+    return _fill(_pattern(a.insertion.steps))
 
 
 def witness_undef(a: Editor) -> Optional[str]:
@@ -364,7 +431,7 @@ def witness_def_undef(x: Editor, y: Editor) -> Optional[str]:
         return None
     if isinstance(y, Fail):
         return witness_def(x)
-    px, py = x.insertion.steps, y.insertion.steps
+    px, py = _pattern(x.insertion.steps), _pattern(y.insertion.steps)
     if len(px) < len(py):
         return _fill(px)  # too short for y
     for j in range(len(py)):
@@ -383,7 +450,8 @@ def witness_diff(x: Editor, y: Editor) -> Optional[str]:
     undefined); ``None`` exactly for structurally equal automata.
 
     When neither accepts an input the other rejects, both are ``Try``
-    with equal steps, and being different they first differ in some prefix
+    with equal patterns.  Spelled out as nested chains, one node per
+    pattern entry, being different they first differ in some prefix
     ``k``.  The probe fills every Skip position with a character absent
     from both automata.  Let ``m`` be the first Skip at or after node
     ``k``.  Steps ``k`` to ``m - 1`` are Dels, so in normal form prefixes
@@ -405,13 +473,14 @@ def witness_diff(x: Editor, y: Editor) -> Optional[str]:
     d = witness_def_undef(y, x)
     if d is not None:
         return d
-    # both Try, with equal steps
+    # both Try, with equal patterns
     a, b = x.insertion, y.insertion
-    used = {*"".join(a.prefixes + b.prefixes), *filter(None, a.steps)}
+    pattern = _pattern(a.steps)
+    used = {*"".join(a.prefixes + b.prefixes), *filter(None, pattern)}
     beyond_ascii = filter(str.isprintable, map(chr, range(0x80, 0x110000)))
     fresh = (ch for ch in itertools.chain(generators.CHARACTER_ORDER, beyond_ascii) if ch not in used)
     pool = itertools.cycle(fresh)
-    probe = "".join(c if c is not None else next(pool) for c in a.steps)
+    probe = "".join(c if c is not None else next(pool) for c in pattern)
     if editor_action(probe, x) != editor_action(probe, y):
         return probe
     return None
@@ -490,7 +559,7 @@ def render_editor(a: Union[Editor, Ins]) -> str:
         return "Fail"
     node = a.insertion if isinstance(a, Try) else a
     parts = [
-        f'Ins "{p}"; ' + ("Skip" if c is None else f"Del '{c}'")
+        f'Ins "{p}"; ' + (f"Del '{c}'" if type(c) is str else "Skip" + '; Ins ""; Skip' * (c - 1))
         for p, c in zip(node.prefixes, node.steps)
     ]
     body = "; ".join([*parts, f'Ins "{node.prefixes[-1]}"; Return'])

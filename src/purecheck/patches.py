@@ -36,7 +36,7 @@ class EditOp(Enum):
     DELETE = "-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edit:
     """Insert or delete one character at a 0-based position."""
 
@@ -45,7 +45,7 @@ class Edit:
     arg: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A patch with a direction: positive applies, negative un-applies."""
 
@@ -53,7 +53,7 @@ class Literal:
     atom: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A sequence of polarized literals, applied left to right."""
 

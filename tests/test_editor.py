@@ -498,3 +498,34 @@ def test_normal_forms_of_long_words_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "9da614ea2a02c1433f6471d0dab6ff574714c230f0857e23e360867df38fa81a"
     )
+
+
+# -- runs: the fold's size tracks the number of edits, not the positions ----------
+
+
+def test_fold_size_tracks_the_number_of_edits():
+    # a run of a million Skips is one step; no timing gate, only the size
+    assert len(semantics(parse_word("+1000000:a")).insertion.steps) == 1
+    assert word_equiv(parse_word("+1000000:a,+0:b"), parse_word("+0:b,+1000001:a"))
+
+
+def test_is_normal_rejects_unmerged_runs():
+    # two runs of Skips with an empty prefix between them are one run
+    assert not is_normal(Ins._of(["", "", ""], [1, 1]))
+    assert is_normal(Ins._of(["", "x", ""], [1, 1]))
+    assert Ins("", Skip(Ins("", Skip(DONE)))).steps == (2,)
+    assert Ins("", Skip(Ins("x", Skip(DONE)))).steps == (1, 1)
+
+
+def test_direct_fold_agrees_with_the_dispatch_path():
+    # the fold splices literals in place; the `act` path splices one edit
+    # at a time through `splice(Ins, Edit)`
+    rng = random.Random(11)
+    ws = [*words.generate(3000), *(_clustered_word(rng) for _ in range(3000))]
+    failed = negative = 0
+    for w in ws:
+        r = action(DONE, w)
+        assert semantics.__wrapped__(w) == (Fail() if r is None else Try(r)), render(w)
+        failed += r is None
+        negative += any(lit.polarity is Polarity.NEGATIVE for lit in w.literals)
+    assert failed > 100 and negative > 1000
