@@ -30,9 +30,10 @@ _SUITES = {
 
 
 def _read_word(path: str) -> Word:
+    # only the line break goes: "+0: " inserts a space
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh]
-    return Word(tuple(parse_literal(line) for line in lines if line))
+        lines = [line.rstrip("\n") for line in fh]
+    return Word(tuple(parse_literal(line) for line in lines if line.strip()))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

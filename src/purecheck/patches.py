@@ -17,23 +17,30 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from . import generators
 from .check import render
 from .generators import gmap, gpair, lists_of, register_default
 
 
+# Enum members are singletons that compare by identity, so they may hash by
+# it: `object.__hash__` is a C slot, where `Enum.__hash__` is a Python frame
+# inside every literal's hash.
 class Polarity(Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
+
+    __hash__ = object.__hash__
 
 
 class EditOp(Enum):
     INSERT = "+"
     DELETE = "-"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +65,22 @@ class Word:
     """A sequence of polarized literals, applied left to right."""
 
     literals: Tuple[Literal, ...] = ()
+    # filled by the first `__hash__`; hash values depend on the process's
+    # hash seed, so `__reduce__` leaves it out of pickled and copied state
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "literals", tuple(self.literals))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.literals,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return (Word, (self.literals,))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +209,12 @@ def to_list(w: Word) -> list:
 
 # ---------------------------------------------------------------------------
 # text rendering ("+2:a" inserts 'a' at 2; "-3:b" deletes 'b' at 3;
-# a "~" prefix marks a negative-polarity literal)
+# a "~" prefix marks a negative-polarity literal).  The argument is the one
+# character after ':', whatever it is, so "+0: " inserts a space and
+# "+0:," a comma.  A word joins its literals with ","; parsing also allows
+# whitespace around each ",", so every rendered word parses back.
 
-_EDIT_RE = re.compile(r"([+-])(\d+):(.)\Z")
+_LITERAL = re.compile(r"(~?[+-]\d+:.)", re.DOTALL)
 
 
 def render_edit(e: Edit) -> str:
@@ -207,25 +230,48 @@ def render_word(w: Word) -> str:
     return ",".join(render_literal(lit) for lit in w.literals)
 
 
-def parse_edit(text: str) -> Edit:
-    m = _EDIT_RE.match(text)
-    if m is None:
-        raise ValueError(f"not an edit: {text!r}")
-    op = EditOp.INSERT if m.group(1) == "+" else EditOp.DELETE
-    return Edit(op, int(m.group(2)), m.group(3))
+def _tokens(text: str) -> Optional[List[str]]:
+    """The literal texts of a word, or ``None`` when ``text`` is not one."""
+    # split alternates separators and literals: sep, lit, sep, ..., lit, sep
+    parts = _LITERAL.split(text)
+    seps = list(map(str.strip, parts[::2]))
+    inner = seps[1:-1]
+    if seps[0] or seps[-1] or inner.count(",") != len(inner):
+        return None
+    return parts[1::2]
 
 
-def parse_literal(text: str) -> Literal:
-    if text.startswith("~"):
-        return Literal(Polarity.NEGATIVE, parse_edit(text[1:]))
-    return Literal(Polarity.POSITIVE, parse_edit(text))
+# 2**16 distinct texts at about 260 bytes each: 17 MB at most
+@functools.lru_cache(maxsize=1 << 16)
+def _literal(token: str) -> Literal:
+    """The literal a token of `_LITERAL` spells, built once per distinct
+    text while it stays in the cache; equal texts share one object."""
+    negative = token[0] == "~"
+    body = token[1:] if negative else token
+    op = EditOp.INSERT if body[0] == "+" else EditOp.DELETE
+    edit = Edit(op, int(body[1:-2]), body[-1])
+    return Literal(Polarity.NEGATIVE if negative else Polarity.POSITIVE, edit)
 
 
 def parse_word(text: str) -> Word:
-    text = text.strip()
-    if not text:
-        return Word(())
-    return Word(tuple(parse_literal(part.strip()) for part in text.split(",")))
+    tokens = _tokens(text)
+    if tokens is None:
+        raise ValueError(f"not a word: {text!r}")
+    return Word(tuple(map(_literal, tokens)))
+
+
+def parse_literal(text: str) -> Literal:
+    tokens = _tokens(text)
+    if tokens is None or len(tokens) != 1:
+        raise ValueError(f"not a literal: {text!r}")
+    return _literal(tokens[0])
+
+
+def parse_edit(text: str) -> Edit:
+    tokens = _tokens(text)
+    if tokens is None or len(tokens) != 1 or tokens[0].startswith("~"):
+        raise ValueError(f"not an edit: {text!r}")
+    return _literal(tokens[0]).atom
 
 
 @render.register

@@ -1,9 +1,15 @@
 """String edits, polarized literals, words, inversion, and the group action
 on ordinary strings.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given
 from hypothesis import strategies as st
 
+import purecheck
 from purecheck import (
     Edit,
     EditOp,
@@ -17,6 +23,7 @@ from purecheck import (
     literals,
     parse_word,
     render,
+    render_word,
     string_delete,
     string_insert,
     to_list,
@@ -184,6 +191,22 @@ def test_parse_render_round_trip(w):
     assert parse_word(render(w)) == w
 
 
+def test_every_rendered_word_parses_back():
+    # the argument is the one character after ':', so ' ' and ',' are
+    # arguments like any other
+    assert parse_word("+0:,") == Word((lit(EditOp.INSERT, 0, ","),))
+    assert parse_word("+0: ,~-1:,,+2:a") == Word(
+        (
+            lit(EditOp.INSERT, 0, " "),
+            lit(EditOp.DELETE, 1, ",", neg=True),
+            lit(EditOp.INSERT, 2, "a"),
+        )
+    )
+    assert parse_word(" +0:a , ~-1:b ") == parse_word("+0:a,~-1:b")
+    for w in words.generate(20000):
+        assert parse_word(render_word(w)) == w, render_word(w)
+
+
 def test_parse_rejects_garbage():
     for bad in ("+:a", "1:a", "+1:", "+1:ab", "*1:a", "+-1:a"):
         try:
@@ -191,6 +214,63 @@ def test_parse_rejects_garbage():
         except ValueError:
             continue
         raise AssertionError(f"expected parse failure for {bad!r}")
+
+
+def test_repeated_literal_texts_parse_to_one_object():
+    assert parse_word("+3:a").literals[0] is parse_word("-1:b,+3:a").literals[1]
+
+
+class _CountedHash:
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
+
+
+def test_a_word_hashes_its_literals_once():
+    atom = _CountedHash()
+    w = Word((Literal(Polarity.POSITIVE, atom),))
+    assert hash(w) == hash(w)
+    assert atom.calls == 1
+
+
+def _in_python(code, seed, stdin=b""):
+    src = str(Path(purecheck.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, input=stdin, capture_output=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+def test_a_pickled_word_hashes_afresh_under_another_hash_seed():
+    # hash values depend on the hash seed, so a hash cached in one process
+    # is stale in the next: it must not be part of the pickled state
+    text = "+2:a,~-3:b,+0: "
+    dumped = _in_python(
+        "import pickle, sys\n"
+        "from purecheck import parse_word\n"
+        f"w = parse_word({text!r})\n"
+        "hash(w)\n"
+        "sys.stdout.buffer.write(pickle.dumps(w))\n",
+        seed=1,
+    )
+    out = _in_python(
+        "import pickle, sys\n"
+        "from purecheck import parse_word, word_equiv\n"
+        "w = pickle.loads(sys.stdin.buffer.read())\n"
+        f"fresh = parse_word({text!r})\n"
+        "assert hash(w) == hash(fresh), 'a hash from another process'\n"
+        "assert word_equiv(w, fresh)\n"
+        "print(repr(w))\n",
+        seed=2,
+        stdin=dumped,
+    )
+    assert out.decode().strip() == repr(parse_word(text))
 
 
 # -- generators over the algebra ----------------------------------------------

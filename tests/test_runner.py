@@ -346,6 +346,18 @@ def test_cli_oracle_skips_blank_lines(tmp_path, capsys):
     assert code == 0  # insert-then-undo collapses to the empty word
 
 
+def test_cli_oracle_keeps_a_space_argument(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("+0: \n")  # inserts ' ' at 0
+    b.write_text("~-0: \n")  # un-deletes ' ' at 0: the same edit
+    code = main(["oracle", str(a), str(b)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "left:  +0: \n" in out
+    assert "right: ~-0: \n" in out
+
+
 def test_cli_oracle_rejects_malformed_word_file(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
