@@ -55,7 +55,7 @@ from . import generators, patches
 from .check import Check, For, Meta, NestedFor, check, qmerge, render
 from .existentials import exists, exists_or_vacuous, exists_some
 from .generators import Generator, gpair, register_default
-from .patches import Edit, EditOp, Polarity, Word, act, action, splice
+from .patches import EditOp, Polarity, Word, act, action, splice
 
 # ---------------------------------------------------------------------------
 # the automaton
@@ -324,9 +324,8 @@ def editor_delete(a: Ins, i: int, c: str) -> Optional[Ins]:
 
 
 @splice.register
-def _(a: Ins, e: Edit) -> Optional[Ins]:
-    fn = editor_insert if e.op is EditOp.INSERT else editor_delete
-    return fn(a, e.pos, e.arg)
+def _(a: Ins, insert: bool, i: int, c: str) -> Optional[Ins]:
+    return editor_insert(a, i, c) if insert else editor_delete(a, i, c)
 
 
 # ---------------------------------------------------------------------------

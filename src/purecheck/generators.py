@@ -287,8 +287,10 @@ def default_generator(t: Any) -> Generator:
             return gtriple(parts[0], parts[1], parts[2])
         raise KeyError(f"no default generator for {len(parts)}-tuples")
     if origin is list:
-        (elem,) = typing.get_args(t)
-        return lists_of(default_generator(elem))
+        args = typing.get_args(t)
+        if len(args) != 1:
+            raise KeyError(f"no default generator for {t!r}")
+        return lists_of(default_generator(args[0]))
     try:
         return _DEFAULTS[t]
     except (KeyError, TypeError):

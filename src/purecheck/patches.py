@@ -109,7 +109,8 @@ def _(x: Edit) -> Edit:
 
 @inv.register
 def _(x: Literal) -> Literal:
-    return Literal(inv(x.polarity), x.atom)
+    positive = x.polarity is Polarity.POSITIVE
+    return Literal(Polarity.NEGATIVE if positive else Polarity.POSITIVE, x.atom)
 
 
 @inv.register
@@ -144,19 +145,20 @@ def string_delete(s: str, i: int, c: str) -> Optional[str]:
 # Patch kind and state type are independent extension axes, so each has
 # its own dispatcher: a new patch representation registers with `act`
 # (keyed on the patch), a new editable state with `splice` (keyed on the
-# state).  purecheck.editor adds its automata on both.
+# state).  `splice` takes the effective edit, polarity already folded in:
+# ``splice(s, insert, i, c)`` inserts (``insert``) or deletes character
+# ``c`` at position ``i``.  purecheck.editor adds its automata on both.
 
 
 @functools.singledispatch
-def splice(s: Any, e: Edit) -> Optional[Any]:
-    """Apply one single edit to state ``s``; ``None`` when it does not apply."""
+def splice(s: Any, insert: bool, i: int, c: str) -> Optional[Any]:
+    """Insert or delete ``c`` at ``i`` in state ``s``; ``None`` when it does not apply."""
     raise TypeError(f"states of type {type(s).__name__} do not support edits")
 
 
 @splice.register
-def _(s: str, e: Edit) -> Optional[str]:
-    fn = string_insert if e.op is EditOp.INSERT else string_delete
-    return fn(s, e.pos, e.arg)
+def _(s: str, insert: bool, i: int, c: str) -> Optional[str]:
+    return string_insert(s, i, c) if insert else string_delete(s, i, c)
 
 
 @functools.singledispatch
@@ -167,21 +169,43 @@ def act(p: Any, s: Any) -> Optional[Any]:
 
 @act.register
 def _(p: Edit, s: Any) -> Optional[Any]:
-    return splice(s, p)
+    return splice(s, p.op is EditOp.INSERT, p.pos, p.arg)
 
 
 @act.register
 def _(p: Literal, s: Any) -> Optional[Any]:
-    return act(p.atom if p.polarity is Polarity.POSITIVE else inv(p.atom), s)
+    e = p.atom
+    positive = p.polarity is Polarity.POSITIVE
+    if type(e) is Edit:
+        return splice(s, (e.op is EditOp.INSERT) is positive, e.pos, e.arg)
+    return act(e if positive else inv(e), s)
+
+
+def _fold(s: Any, entries: Tuple[Any, ...], forward: bool) -> Optional[Any]:
+    """Apply each entry in turn, forward (``action``) or backward (``undo``).
+
+    A literal over an `Edit` goes straight to the splicer of the state's
+    type, resolved once; any other entry takes the general path, after
+    which the splicer is resolved again for the state it left.
+    """
+    step = action if forward else undo
+    splicer = splice.dispatch(type(s))
+    for p in entries:
+        if type(p) is Literal and type(p.atom) is Edit:
+            e = p.atom
+            insert = (e.op is EditOp.INSERT) is ((p.polarity is Polarity.POSITIVE) is forward)
+            s = splicer(s, insert, e.pos, e.arg)
+        else:
+            s = step(s, p)
+            splicer = splice.dispatch(type(s))
+        if s is None:
+            return None
+    return s
 
 
 @act.register
 def _(p: Word, s: Any) -> Optional[Any]:
-    for lit in p.literals:
-        s = act(lit, s)
-        if s is None:
-            return None
-    return s
+    return _fold(s, p.literals, True)
 
 
 def action(s: Any, p: Any) -> Optional[Any]:
@@ -190,7 +214,10 @@ def action(s: Any, p: Any) -> Optional[Any]:
 
 
 def undo(s: Any, p: Any) -> Optional[Any]:
-    """Revert ``p`` on ``s``: the action of the inverse patch."""
+    """Revert ``p`` on ``s``: the action of the inverse patch.  A word is
+    undone entry by entry in reverse, without building its inverse."""
+    if type(p) is Word:
+        return _fold(s, p.literals[::-1], False)
     return action(s, inv(p))
 
 

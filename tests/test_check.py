@@ -236,6 +236,15 @@ def test_check_of_unannotated_predicate_is_tactical_error():
     assert "domain" in v.diagnostic
 
 
+def test_check_names_a_list_annotation_it_cannot_enumerate():
+    def p(xs: list[int, str]) -> bool:
+        return True
+
+    v = check(Meta(p)).perform(5)
+    assert isinstance(v, TacticalError)
+    assert v.diagnostic == "cannot infer a sample domain: 'no default generator for list[int, str]'"
+
+
 def test_predicate_domain_is_resolved_once(monkeypatch):
     # the package's `check` attribute is the function, not the module
     module = importlib.import_module("purecheck.check")

@@ -519,7 +519,7 @@ def test_is_normal_rejects_unmerged_runs():
 
 def test_direct_fold_agrees_with_the_dispatch_path():
     # the fold splices literals in place; the `act` path splices one edit
-    # at a time through `splice(Ins, Edit)`
+    # at a time through the `Ins` splicer, `splice(a, insert, i, c)`
     rng = random.Random(11)
     ws = [*words.generate(3000), *(_clustered_word(rng) for _ in range(3000))]
     failed = negative = 0

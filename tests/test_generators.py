@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import math
+import re
+import typing
+
+import pytest
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -241,6 +245,13 @@ def test_default_generator_unknown_type():
         pass
     else:
         raise AssertionError("expected a KeyError for an unregistered type")
+
+
+def test_default_generator_rejects_a_list_of_several_types():
+    # like its siblings, a malformed `list[...]` is a KeyError naming the type
+    for t in (list[int, str], typing.List):
+        with pytest.raises(KeyError, match=re.escape(f"no default generator for {t!r}")):
+            default_generator(t)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 on ordinary strings.
 """
 import os
+import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,6 +22,7 @@ from purecheck import (
     action,
     edits,
     from_list,
+    gpair,
     inv,
     literals,
     parse_word,
@@ -26,10 +30,13 @@ from purecheck import (
     render_word,
     string_delete,
     string_insert,
+    strings,
     to_list,
     undo,
     words,
 )
+from purecheck.editor import DONE, Ins, Return, editor_action
+from purecheck.patches import act
 
 # -- handy strategies -------------------------------------------------------
 
@@ -163,6 +170,89 @@ def test_undo_inverts_action(s, w):
 @given(_strings, _words)
 def test_undo_is_action_of_inverse(s, w):
     assert undo(s, w) == action(s, inv(w))
+
+
+# -- one fold per word, pinned to the per-entry action --------------------------
+
+
+@dataclass(frozen=True)
+class _Swap:
+    """A test patch that changes the state's type: a string ``s`` becomes
+    the automaton that prints ``s + tag`` before its input, and an
+    automaton becomes its output on the input ``tag``.  Its declared
+    inverse is the swap with the other tag."""
+
+    tag: str
+
+
+@act.register
+def _(p: _Swap, s):
+    return Ins(s + p.tag, Return()) if type(s) is str else editor_action(p.tag, s)
+
+
+@inv.register
+def _(p: _Swap) -> _Swap:
+    return _Swap("b" if p.tag == "a" else "a")
+
+
+def _per_entry(s, w):
+    """The reference fold: one `action` call per entry of ``w``, with a
+    negative literal applying the inverse of its atom."""
+    for e in w.literals:
+        if type(e) is Literal and e.polarity is Polarity.NEGATIVE:
+            e = inv(e.atom)
+        s = action(s, e)
+        if s is None:
+            return None
+    return s
+
+
+def _mixed(rng, w):
+    """``w`` with some literals spelled as bare edits, `_Swap` literals of
+    either polarity in between, and up to two slices nested as words."""
+    entries = []
+    for lit in w.literals:
+        if rng.random() < 0.25:
+            entries.append(lit.atom if lit.polarity is Polarity.POSITIVE else inv(lit.atom))
+        else:
+            entries.append(lit)
+        if rng.random() < 0.2:
+            entries.append(Literal(rng.choice([Polarity.POSITIVE, Polarity.NEGATIVE]), _Swap(rng.choice("ab"))))
+    for _ in range(2):
+        if len(entries) > 1 and rng.random() < 0.5:
+            i = rng.randrange(len(entries))
+            j = rng.randrange(i, len(entries)) + 1
+            entries[i:j] = [Word(tuple(entries[i:j]))]
+    return Word(tuple(entries))
+
+
+def test_word_fold_agrees_with_the_per_entry_action():
+    rng = random.Random(5)
+    seen = set()
+    kinds = set()
+    for w, s in gpair(words, strings()).generate(3000):
+        mixed = _mixed(rng, w)
+        kinds.update(map(type, mixed.literals))
+        for word in (w, mixed):
+            for state in (s, DONE):
+                got = action(state, word)
+                assert got == _per_entry(state, word), (state, word)
+                assert undo(state, word) == action(state, inv(word)), (state, word)
+                seen.add((type(state), type(got)))
+    assert kinds == {Literal, Edit, Word}
+    # every outcome on both state types, and `_Swap` moving states across
+    assert seen == {(a, b) for a in (str, Ins) for b in (str, Ins, type(None))}
+
+
+def test_fold_keeps_the_errors_of_the_dispatchers():
+    for apply in (action, undo):
+        with pytest.raises(TypeError, match="^states of type int do not support edits$"):
+            apply(5, parse_word("+0:a"))
+        assert apply(5, Word(())) == 5
+    with pytest.raises(TypeError, match="^not a patch: int$"):
+        action("a", Word((1,)))
+    with pytest.raises(TypeError, match="^no inverse defined for int$"):
+        inv(Word((1, 2)))
 
 
 # -- text form ----------------------------------------------------------------
