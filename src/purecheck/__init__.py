@@ -90,6 +90,7 @@ from .editor import (
     ins,
     is_normal,
     is_total,
+    reify,
     render_editor,
     semantics,
     witness_def,

@@ -7,6 +7,8 @@ Subcommands:
 * ``purecheck oracle`` — compare two words of edits both ways: by their
   normal-form automata and by brute force over small strings; when the
   automata differ, replay the model's witness input through both words.
+  Automata, words, witness and outputs longer than 200 characters print as
+  their head and tail and their length.
 
 ``PURECHECK_CONFIDENCE`` supplies the default budget; ``--confidence``
 overrides it.
@@ -34,6 +36,16 @@ def _read_word(path: str) -> Word:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     return Word(tuple(parse_literal(line) for line in lines if line.strip()))
+
+
+def _view(text: str, limit: int = 200) -> str:
+    """``text`` itself, or, when it is longer than ``limit``, its head and
+    tail around ``...`` and its length: a word file can name positions in
+    the millions, and its automaton, witness and outputs grow with them."""
+    if len(text) <= limit:
+        return text
+    half = (limit - 3) // 2
+    return f"{text[:half]}...{text[-half:]} ({len(text)} characters)"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -103,10 +115,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     by_model = editor.word_equiv(left, right)
     by_force = runner.brute_force_equiv(left, right, args.alphabet, args.max_len)
     x, y = editor.semantics(left), editor.semantics(right)
-    print(f"left:  {render_word(left) or '(empty word)'}")
-    print(f"       {editor.render_editor(x)}")
-    print(f"right: {render_word(right) or '(empty word)'}")
-    print(f"       {editor.render_editor(y)}")
+    print(f"left:  {_view(render_word(left)) or '(empty word)'}")
+    print(f"       {_view(editor.render_editor(x))}")
+    print(f"right: {_view(render_word(right)) or '(empty word)'}")
+    print(f"       {_view(editor.render_editor(y))}")
     print(f"normal-form automata: {'equal' if by_model else 'different'}")
     print(
         f"brute force over {{{args.alphabet}}}^<={args.max_len}: "
@@ -121,8 +133,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if witness is not None:
             outs = [action(witness, w) for w in (left, right)]
             if outs[0] != outs[1]:
-                left_out, right_out = ("undefined" if o is None else repr(o) for o in outs)
-                print(f"witness {witness!r}: left gives {left_out}, right gives {right_out}")
+                left_out, right_out = ("undefined" if o is None else _view(repr(o)) for o in outs)
+                print(f"witness {_view(repr(witness))}: left gives {left_out}, right gives {right_out}")
                 return 1
     print("DISAGREEMENT between model and oracle — this is a bug")
     return 2

@@ -37,7 +37,9 @@ identity automaton, in place on one pair of lists, gives its
 :func:`semantics`.  Two words denote the same partial string function
 exactly when their automata are structurally equal — which turns an
 undecidable-looking question about group words into an equality test
-(:func:`word_equiv`).  The witness constructions
+(:func:`word_equiv`).  Conversely, :func:`reify` spells any automaton as a
+word, and :data:`editors` enumerates every normal form directly, lightest
+first, without folding a word.  The witness constructions
 at the bottom make the model self-describing: for any automaton (or pair)
 they produce concrete inputs demonstrating definedness, undefinedness,
 or disagreement, and the :func:`adequacy_suite` checks those claims with
@@ -55,7 +57,7 @@ from . import generators, patches
 from .check import Check, For, Meta, NestedFor, check, qmerge, render
 from .existentials import exists, exists_or_vacuous, exists_some
 from .generators import Generator, gpair, register_default
-from .patches import EditOp, Polarity, Word, act, action, splice
+from .patches import Edit, EditOp, Polarity, Word, act, action, from_list, splice
 
 # ---------------------------------------------------------------------------
 # the automaton
@@ -339,8 +341,7 @@ def semantics(w: Word) -> Editor:
     Every literal splices in place into one pair of lists; a negative
     literal splices the inverse edit.  An intermediate edit with an empty
     composite collapses the whole word to ``Fail``.  The cache keeps the
-    4096 most recently used words; the distinct automata that `editors`
-    enumerates stay in its memo.
+    4096 most recently used words.
     """
     ps: List[str] = [""]
     ss: List[Step] = []
@@ -350,6 +351,33 @@ def semantics(w: Word) -> Editor:
         if not splicer(ps, ss, e.pos, e.arg):
             return Fail()
     return Try(Ins._of(ps, ss))
+
+
+def reify(a: Editor) -> Word:
+    """A word whose `semantics` is ``a``: a right inverse of the fold.
+
+    Every literal is positive.  Each prefix is inserted at the running
+    output position, each ``Del`` deletes its character there, and each
+    run moves the position past the characters it copies.  A trailing run
+    behind an empty last prefix is kept by inserting and then deleting one
+    character after it.  ``Fail`` is an insertion followed by a deletion
+    of a different character at the same place.
+    """
+    if isinstance(a, Fail):
+        return from_list([Edit(EditOp.INSERT, 0, "a"), Edit(EditOp.DELETE, 0, "b")])
+    node = a.insertion
+    edits: List[Edit] = []
+    j = 0
+    for p, c in zip(node.prefixes, (*node.steps, 0)):  # no step after the last prefix
+        edits += (Edit(EditOp.INSERT, j + k, ch) for k, ch in enumerate(p))
+        j += len(p)
+        if type(c) is str:
+            edits.append(Edit(EditOp.DELETE, j, c))
+        else:
+            j += c
+    if node.steps and type(node.steps[-1]) is int and not node.prefixes[-1]:
+        edits += (Edit(EditOp.INSERT, j, "a"), Edit(EditOp.DELETE, j, "a"))
+    return from_list(edits)
 
 
 def word_equiv(x: Word, y: Word) -> bool:
@@ -567,20 +595,56 @@ def render_editor(a: Union[Editor, Ins]) -> str:
 
 # ---------------------------------------------------------------------------
 # generated automata
+#
+# `editors` enumerates `Fail` and every normal-form chain directly, by
+# total weight, SmallCheck-style: a character weighs its position in
+# `CHARACTER_ORDER` plus one ('a' 1, 'b' 2, ...), a prefix the sum of its
+# characters, a ``Del`` its character and a run of ``n`` ``Skip``s ``n``.
+# Each weight holds finitely many chains, so every normal form has a
+# finite index.  Within one weight the heavier first prefix comes first,
+# then ``Del`` steps before runs; the two normal-form rules are built in
+# (the prefix after a ``Del`` is empty; an empty prefix after a run is
+# never followed by another run), so no candidate is built and then
+# dropped, and distinctness holds because every chain is spelled once.
+
+
+def _strings_of_weight(w: int) -> Iterator[str]:
+    """The strings over ``CHARACTER_ORDER`` whose characters weigh ``w``
+    in total, by first character."""
+    if not w:
+        yield ""
+        return
+    for k, c in enumerate(generators.CHARACTER_ORDER[:w], 1):
+        for rest in _strings_of_weight(w - k):
+            yield c + rest
+
+
+def _chains(w: int, after: Optional[Step]) -> Iterator[Tuple[Tuple[str, ...], Tuple[Step, ...]]]:
+    """The normal-form ``(prefixes, steps)`` of total weight ``w`` that may
+    follow the step ``after`` (``None`` at the root)."""
+    for pw in range(0 if type(after) is str else w, -1, -1):
+        r = w - pw
+        for p in _strings_of_weight(pw):
+            if not r:
+                yield (p,), ()
+                continue
+            for k, c in enumerate(generators.CHARACTER_ORDER[:r], 1):
+                for ps, ss in _chains(r - k, c):
+                    yield (p, *ps), (c, *ss)
+            if p or type(after) is not int:
+                for n in range(1, r + 1):
+                    for ps, ss in _chains(r - n, n):
+                        yield (p, *ps), (n, *ss)
+
 
 def _editors() -> Iterator[Editor]:
-    """Distinct images of generated words under `semantics`.
-
-    Sampling through the fold guarantees every sample is a reachable,
-    normal-form automaton; deduplication keeps the distinctness guarantee
-    that raw images would lose (many words share one automaton).
-    """
-    seen: set = set()
-    for w in patches.words:
-        e = semantics(w)
-        if e not in seen:
-            seen.add(e)
-            yield e
+    """Every normal-form automaton once, lightest first; ``Fail`` right
+    after the weight-1 chains."""
+    for w in itertools.count():
+        for ps, ss in _chains(w, None):
+            yield Try(Ins._of(ps, ss))
+        if w == 1:
+            yield Fail()
 
 
 editors = Generator(_editors)

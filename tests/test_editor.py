@@ -6,6 +6,7 @@ splicing rules and cross-checked against `brute_force_equiv`, which compares
 behaviour pointwise over a finite string universe.
 """
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from purecheck import (
     brute_force_equiv,
     check,
     cons_eq,
+    editor,
     editor_action,
     editors,
     exists,
@@ -42,7 +44,9 @@ from purecheck import (
     is_normal,
     is_total,
     parse_word,
+    reify,
     render,
+    render_editor,
     semantics,
     witness_def,
     witness_def_undef,
@@ -51,6 +55,7 @@ from purecheck import (
     word_equiv,
     words,
 )
+from purecheck.generators import CHARACTER_ORDER, Generator
 
 # two different spellings of "insert an a at 2, then remove the b after it"
 LEFT = parse_word("+2:a,-3:b")
@@ -375,11 +380,58 @@ def test_editors_generator_is_prefix_monotone(m, n):
     assert editors.generate(n)[:m] == editors.generate(m)
 
 
-def test_editors_are_enumerated_once():
-    editors.generate(3000)
-    misses = semantics.cache_info().misses
-    assert len(editors.generate(3000)) == 3000
-    assert semantics.cache_info().misses == misses
+def test_editors_never_fold_a_word():
+    # a cold enumeration builds its automata directly
+    info = semantics.cache_info()
+    assert len(Generator(editor._editors).generate(3000)) == 3000
+    assert semantics.cache_info() == info
+
+
+def test_editors_head_is_pinned():
+    # the negative controls name these samples as their first counterexamples
+    assert [render_editor(e) for e in editors.generate(2)] == ['Try[Ins ""; Return]', 'Try[Ins "a"; Return]']
+    first_partial = next(e for e in editors.generate(100) if not is_total(e))
+    assert render_editor(first_partial) == 'Try[Ins ""; Del \'a\'; Ins ""; Return]'
+
+
+def _weight(e):
+    """The enumeration's weight: a character weighs its position in
+    `CHARACTER_ORDER` plus one, a run of n Skips n; `Fail` weighs 1."""
+    if e == Fail():
+        return 1
+    a = e.insertion
+    chars = "".join(a.prefixes) + "".join(c for c in a.steps if type(c) is str)
+    return sum(CHARACTER_ORDER.index(ch) + 1 for ch in chars) + sum(c for c in a.steps if type(c) is int)
+
+
+def test_editors_cover_every_small_normal_form_once():
+    # all normal forms with at most two steps (Dels over ab, runs of at most
+    # two) and prefixes of at most two characters over ab, up to weight 8
+    n = 17461  # the number of automata of weight 8 or less
+    es = editors.generate(n + 1)
+    weights = [_weight(e) for e in es]
+    assert weights == sorted(weights) and weights[n - 1] == 8 < weights[n]
+    index = {e: i for i, e in enumerate(es[:n])}
+    assert len(index) == n
+    texts = ["", "a", "b", "aa", "ab", "ba", "bb"]
+    universe = [Fail()]
+    for k in range(3):
+        for ps in itertools.product(texts, repeat=k + 1):
+            for ss in itertools.product(["a", "b", 1, 2], repeat=k):
+                a = Try(Ins._of(ps, ss))
+                if is_normal(a) and _weight(a) <= 8:
+                    universe.append(a)
+    assert len(universe) == 747
+    assert all(a in index for a in universe)
+
+
+def test_reify_is_a_right_inverse_of_semantics():
+    # every enumerated automaton is the normal form of some word
+    for e in editors.generate(30000):
+        assert semantics.__wrapped__(reify(e)) == e, render_editor(e)
+    assert render(reify(Fail())) == "+0:a,-0:b"
+    assert render(reify(semantics(RIGHT))) == "+2:a,-3:b"
+    assert render(reify(semantics(parse_word("+3:a,-3:a")))) == "+3:a,-3:a"
 
 
 def test_semantics_keeps_its_cache_counters_and_the_uncached_fold():

@@ -308,6 +308,20 @@ def test_cli_oracle_separates_past_every_code_point(tmp_path, capsys):
     assert "DISAGREEMENT" not in out
 
 
+def test_cli_oracle_output_is_bounded(tmp_path, capsys):
+    # automata, witness and outputs all grow with the position: 3.8 MB in full
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("+100000:a\n")
+    b.write_text("+100000:b\n")
+    code = main(["oracle", str(a), str(b)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert len(out.encode("utf-8")) < 4000
+    assert "normal-form automata: different" in out and "(1400020 characters)" in out
+    assert "witness " in out and "DISAGREEMENT" not in out
+
+
 @pytest.mark.parametrize(
     "broken, fake",
     [
