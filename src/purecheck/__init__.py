@@ -56,7 +56,6 @@ from .patches import (
     from_list,
     inv,
     literals,
-    parse_edit,
     parse_literal,
     parse_word,
     render_edit,

@@ -80,17 +80,14 @@ def render(value: Any) -> str:
 
 
 @render.register(tuple)
-def _render_tuple(value: tuple) -> str:
-    return "(" + ", ".join(render(v) for v in value) + ")"
-
-
 @render.register(list)
-def _render_list(value: list) -> str:
-    return "[" + ", ".join(render(v) for v in value) + "]"
+def _render_sequence(value: Union[tuple, list]) -> str:
+    opening, closing = "()" if isinstance(value, tuple) else "[]"
+    return opening + ", ".join(render(v) for v in value) + closing
 
 
-def _clip(text: str, limit: int = 200) -> str:
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+def _clip(text: str) -> str:
+    return text if len(text) <= 200 else text[:197] + "..."
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,25 @@ def _read_word(path: str) -> Word:
     return Word(tuple(parse_literal(line) for line in lines if line.strip()))
 
 
-def _view(text: str, limit: int = 200) -> str:
-    """``text`` itself, or, when it is longer than ``limit``, its head and
-    tail around ``...`` and its length: a word file can name positions in
-    the millions, and its automaton, witness and outputs grow with them."""
-    if len(text) <= limit:
+def _view(text: str) -> str:
+    """``text`` itself, or, past 200 characters, its first and last 98 around
+    ``...`` and its length: a word file can name positions in the millions,
+    and its automaton, witness and outputs grow with them."""
+    if len(text) <= 200:
         return text
-    half = (limit - 3) // 2
-    return f"{text[:half]}...{text[-half:]} ({len(text)} characters)"
+    return f"{text[:98]}...{text[-98:]} ({len(text)} characters)"
+
+
+def _print(text: str) -> None:
+    """``print`` that outlives its reader: once the output is closed early
+    (``| head``), the rest goes to the null device, so the command still
+    ends with its own exit code and without a traceback."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -88,18 +99,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         suite = _SUITES[args.suite]()
         report = runner.run_suite(suite, args.confidence, args.filter)
         if args.format == "json":
-            print(runner.report_json(report))
+            _print(runner.report_json(report))
         else:
-            print(runner.report_text(report))
+            _print(runner.report_text(report))
         return runner.exit_code(report)
 
     if args.command == "list":
         suite = _SUITES[args.suite]()
         for entry in suite.entries():
             if args.tags and entry.tags:
-                print(f"{entry.name}  [{', '.join(entry.tags)}]")
+                _print(f"{entry.name}  [{', '.join(entry.tags)}]")
             else:
-                print(entry.name)
+                _print(entry.name)
         return 0
 
     # oracle
@@ -115,12 +126,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     by_model = editor.word_equiv(left, right)
     by_force = runner.brute_force_equiv(left, right, args.alphabet, args.max_len)
     x, y = editor.semantics(left), editor.semantics(right)
-    print(f"left:  {_view(render_word(left)) or '(empty word)'}")
-    print(f"       {_view(editor.render_editor(x))}")
-    print(f"right: {_view(render_word(right)) or '(empty word)'}")
-    print(f"       {_view(editor.render_editor(y))}")
-    print(f"normal-form automata: {'equal' if by_model else 'different'}")
-    print(
+    _print(f"left:  {_view(render_word(left)) or '(empty word)'}")
+    _print(f"       {_view(editor.render_editor(x))}")
+    _print(f"right: {_view(render_word(right)) or '(empty word)'}")
+    _print(f"       {_view(editor.render_editor(y))}")
+    _print(f"normal-form automata: {'equal' if by_model else 'different'}")
+    _print(
         f"brute force over {{{args.alphabet}}}^<={args.max_len}: "
         f"{'equal' if by_force else 'different'}"
     )
@@ -134,9 +145,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             outs = [action(witness, w) for w in (left, right)]
             if outs[0] != outs[1]:
                 left_out, right_out = ("undefined" if o is None else _view(repr(o)) for o in outs)
-                print(f"witness {_view(repr(witness))}: left gives {left_out}, right gives {right_out}")
+                _print(f"witness {_view(repr(witness))}: left gives {left_out}, right gives {right_out}")
                 return 1
-    print("DISAGREEMENT between model and oracle — this is a bug")
+    _print("DISAGREEMENT between model and oracle — this is a bug")
     return 2
 
 

@@ -305,14 +305,20 @@ def _delete(ps: List[str], ss: List[Step], i: int, c: str) -> bool:
         k += 1
 
 
+@splice.register
+def _splice(a: Ins, insert: bool, i: int, c: str) -> Optional[Ins]:
+    ps, ss = list(a.prefixes), list(a.steps)
+    splicer = _insert if insert else _delete
+    return Ins._of(ps, ss) if splicer(ps, ss, i, c) else None
+
+
 def editor_insert(a: Ins, i: int, c: str) -> Optional[Ins]:
     """Splice "insert ``c`` at output position ``i``" into an automaton.
 
     The result, run on any input, equals running ``a`` first and then
     inserting into its output.  A negative position never applies.
     """
-    ps, ss = list(a.prefixes), list(a.steps)
-    return Ins._of(ps, ss) if _insert(ps, ss, i, c) else None
+    return _splice(a, True, i, c)
 
 
 def editor_delete(a: Ins, i: int, c: str) -> Optional[Ins]:
@@ -321,13 +327,7 @@ def editor_delete(a: Ins, i: int, c: str) -> Optional[Ins]:
     ``None`` when the composite is empty: deleting a character the
     automaton provably never produces there.
     """
-    ps, ss = list(a.prefixes), list(a.steps)
-    return Ins._of(ps, ss) if _delete(ps, ss, i, c) else None
-
-
-@splice.register
-def _(a: Ins, insert: bool, i: int, c: str) -> Optional[Ins]:
-    return editor_insert(a, i, c) if insert else editor_delete(a, i, c)
+    return _splice(a, False, i, c)
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +340,22 @@ def semantics(w: Word) -> Editor:
 
     Every literal splices in place into one pair of lists; a negative
     literal splices the inverse edit.  An intermediate edit with an empty
-    composite collapses the whole word to ``Fail``.  The cache keeps the
-    4096 most recently used words.
+    composite collapses the whole word to ``Fail``.  Any other entry that
+    `action` accepts (a bare `Edit`, a nested `Word`) sends the whole word
+    through `action` on the identity automaton.  The cache keeps the 4096
+    most recently used words.
     """
     ps: List[str] = [""]
     ss: List[Step] = []
-    for lit in w.literals:
-        e = lit.atom
-        splicer = _insert if (e.op is EditOp.INSERT) is (lit.polarity is Polarity.POSITIVE) else _delete
-        if not splicer(ps, ss, e.pos, e.arg):
-            return Fail()
+    try:
+        for lit in w.literals:
+            e = lit.atom
+            splicer = _insert if (e.op is EditOp.INSERT) is (lit.polarity is Polarity.POSITIVE) else _delete
+            if not splicer(ps, ss, e.pos, e.arg):
+                return Fail()
+    except AttributeError:  # an entry that is not a literal over an `Edit`
+        a = action(DONE, w)
+        return Fail() if a is None else Try(a)
     return Try(Ins._of(ps, ss))
 
 

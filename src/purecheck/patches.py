@@ -109,8 +109,7 @@ def _(x: Edit) -> Edit:
 
 @inv.register
 def _(x: Literal) -> Literal:
-    positive = x.polarity is Polarity.POSITIVE
-    return Literal(Polarity.NEGATIVE if positive else Polarity.POSITIVE, x.atom)
+    return Literal(inv(x.polarity), x.atom)
 
 
 @inv.register
@@ -244,15 +243,18 @@ def to_list(w: Word) -> list:
 _LITERAL = re.compile(r"(~?[+-]\d+:.)", re.DOTALL)
 
 
+@render.register
 def render_edit(e: Edit) -> str:
     return f"{e.op.value}{e.pos}:{e.arg}"
 
 
+@render.register
 def render_literal(lit: Literal) -> str:
     mark = "" if lit.polarity is Polarity.POSITIVE else "~"
     return mark + render_edit(lit.atom)
 
 
+@render.register
 def render_word(w: Word) -> str:
     return ",".join(render_literal(lit) for lit in w.literals)
 
@@ -292,28 +294,6 @@ def parse_literal(text: str) -> Literal:
     if tokens is None or len(tokens) != 1:
         raise ValueError(f"not a literal: {text!r}")
     return _literal(tokens[0])
-
-
-def parse_edit(text: str) -> Edit:
-    tokens = _tokens(text)
-    if tokens is None or len(tokens) != 1 or tokens[0].startswith("~"):
-        raise ValueError(f"not an edit: {text!r}")
-    return _literal(tokens[0]).atom
-
-
-@render.register
-def _(value: Edit) -> str:
-    return render_edit(value)
-
-
-@render.register
-def _(value: Literal) -> str:
-    return render_literal(value)
-
-
-@render.register
-def _(value: Word) -> str:
-    return render_word(value)
 
 
 # ---------------------------------------------------------------------------

@@ -380,3 +380,15 @@ def test_confidence_indexes_the_whole_conjunction():
     c = left & right
     assert c.perform(99) == Holds()
     assert isinstance(c.perform(100), Falsified)
+
+
+def test_counterexample_text_is_clipped_past_200_characters():
+    from purecheck.check import _clip
+
+    assert _clip("x" * 200) == "x" * 200
+    assert _clip("x" * 201) == "x" * 197 + "..."
+    # through a check: a rendered string carries its two quotes
+    whole = check_with(from_values(["a" * 198]), lambda s: False).perform(1)
+    assert whole == Falsified("'" + "a" * 198 + "'")
+    clipped = check_with(from_values(["a" * 199]), lambda s: False).perform(1)
+    assert clipped == Falsified("'" + "a" * 196 + "...")

@@ -581,3 +581,40 @@ def test_direct_fold_agrees_with_the_dispatch_path():
         failed += r is None
         negative += any(lit.polarity is Polarity.NEGATIVE for lit in w.literals)
     assert failed > 100 and negative > 1000
+
+
+# -- words with entries other than literals over edits -------------------------
+
+
+def _mixed_words():
+    """Pairs of a word that `action` accepts but whose entries are not all
+    literals over edits, and an all-literal word with the same action."""
+    from purecheck import from_list
+
+    e, f, g = Edit(EditOp.INSERT, 1, "a"), Edit(EditOp.DELETE, 0, "b"), Edit(EditOp.INSERT, 0, "b")
+    inner = from_list([e, f])
+    undone = Word((Literal(Polarity.NEGATIVE, f), Literal(Polarity.NEGATIVE, e)))
+    return [
+        (Word((e,)), from_list([e])),
+        (Word((g, Literal(Polarity.POSITIVE, f))), Word()),
+        (Word((inner,)), inner),
+        (Word((Literal(Polarity.NEGATIVE, inner),)), undone),
+        (Word((from_list([e]), Literal(Polarity.POSITIVE, f), e)), from_list([e, f, e])),
+        (Word((Literal(Polarity.POSITIVE, g), Literal(Polarity.NEGATIVE, g), Word((f,)))), from_list([f])),
+    ]
+
+
+def test_semantics_of_mixed_words_falls_back_to_the_action():
+    for mixed, flat in _mixed_words():
+        assert semantics(mixed) == semantics(flat)
+        assert word_equiv(mixed, flat)
+        for n in range(5):
+            for s in map("".join, itertools.product("ab", repeat=n)):
+                assert editor_action(s, semantics(mixed)) == action(s, mixed), s
+
+
+def test_word_equiv_agrees_with_brute_force_on_mixed_words():
+    ws = [w for pair in _mixed_words() for w in pair]
+    for i, x in enumerate(ws):
+        for y in ws[i + 1 :]:
+            assert word_equiv(x, y) == brute_force_equiv(x, y, "abc", 5), (x, y)

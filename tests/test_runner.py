@@ -408,3 +408,54 @@ def test_default_suite_report_is_unchanged_at_confidence_100():
 def test_default_suite_report_is_unchanged_at_confidence_1000_and_3000():
     assert _default_suite_digest(1000) == "3540e3988e84dfc3a3217746cff64486cfa99861a2b8a77388b54ac967d3dc95"
     assert _default_suite_digest(3000) == "2eab542ab7178328339eadb97196635fbd2b19cbfff33d1f5c90166a8e072377"
+
+
+def test_run_suite_records_a_check_that_returns_no_verdict():
+    from purecheck.check import Check
+
+    s = Suite()
+    s.register("x", Check(lambda n: True))
+    report = run_suite(s, confidence=3)
+    verdict = report.entries[0].verdict
+    assert isinstance(verdict, TacticalError) and "bool" in verdict.diagnostic
+    assert "1 tactical errors" in report_text(report)
+    assert exit_code(report) == 2
+
+
+def test_cli_view_prints_up_to_200_characters_whole():
+    from purecheck.cli import _view
+
+    assert _view("x" * 200) == "x" * 200
+    text = "a" * 100 + "b" + "c" * 100
+    assert _view(text) == "a" * 98 + "..." + "c" * 98 + " (201 characters)"
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["run", "--confidence", "5"], 0),
+        (["run", "--suite", "negative", "--confidence", "30"], 1),
+        (["list", "--tags"], 0),
+        (["oracle", "{a}", "{b}"], 1),
+    ],
+)
+def test_cli_output_closed_early_keeps_the_exit_code(tmp_path, args, code):
+    import os
+    import subprocess
+    import sys
+
+    import purecheck
+
+    (tmp_path / "a.txt").write_text("+2:a\n")
+    (tmp_path / "b.txt").write_text("+3:a\n")
+    args = [arg.format(a=tmp_path / "a.txt", b=tmp_path / "b.txt") for arg in args]
+    src = os.path.dirname(os.path.dirname(purecheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "purecheck", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()  # the reader is gone before the first line is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == code, err
+    assert err == ""
