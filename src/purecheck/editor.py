@@ -213,21 +213,21 @@ def _(a: Union[Editor, Ins], s: str) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # splicing single edits
 #
-# Each splicer edits a pair of lists, the automaton's prefixes and steps,
-# in place: it walks the nodes by index, one run at a time, tracking how
-# much *output* the nodes passed so far produce, and splices at the node
-# owning the target position.  A position inside a run splits the run
-# there.  Positions beyond all structure fall into the echoed-input
-# region and append a run of Skips, growing a trailing run that ends in an
-# empty prefix.  Two edits can break a form: a deletion that empties the
-# prefix between two runs (the runs merge), and a deletion that turns a
-# Skip into a Del in front of a nonempty prefix; `_hoist` then moves that
-# prefix left across every Del in front of it.  (An insertion never lands
-# right after a Del: it passes a node only when at least one more output
-# character precedes the spot, and the prefix after a Del is empty.  A
-# hoist empties only prefixes that follow a Del, so it never leaves two
-# runs to merge.)  Correctness is not argued here — the test suite pins
-# it against exhaustive application to concrete strings.
+# One walk, `_edit`, splices an insertion or a deletion into a pair of
+# lists, the automaton's prefixes and steps, in place: it walks the nodes
+# by index, tracking how much *output* the nodes passed so far produce,
+# and splices at the node owning the target position.  A position inside
+# a run splits the run there.  Positions beyond all structure fall into
+# the echoed-input region and append a run of Skips, growing a trailing
+# run that ends in an empty prefix.  Two edits can break a form: a
+# deletion that empties the prefix between two runs (the runs merge), and
+# a deletion that turns a Skip into a Del in front of a nonempty prefix;
+# `_hoist` then moves that prefix left across every Del in front of it.
+# (An insertion never lands right after a Del: it passes a node only when
+# at least one more output character precedes the spot, and the prefix
+# after a Del is empty.  A hoist empties only prefixes that follow a Del,
+# so it never leaves two runs to merge.)  Correctness is not argued here —
+# the test suite pins it against exhaustive application to concrete strings.
 
 
 def _hoist(ps: List[str], ss: List[Step], k: int) -> None:
@@ -238,63 +238,46 @@ def _hoist(ps: List[str], ss: List[Step], k: int) -> None:
         k -= 1
 
 
-def _skip(ps: List[str], ss: List[Step], n: int) -> None:
-    """Copy ``n`` more input characters after the last prefix."""
-    if ss and not ps[-1] and type(ss[-1]) is int:
-        ss[-1] += n
-    else:
-        ss.append(n)
-        ps.append("")
-
-
-def _insert(ps: List[str], ss: List[Step], i: int, c: str) -> bool:
+def _edit(ps: List[str], ss: List[Step], insert: bool, i: int, c: str) -> bool:
+    """Insert or delete ``c`` at output position ``i``; false when the composite is empty."""
     if i < 0:
         return False
+    last = len(ss)
+    reach = 1 if insert else 0  # an insertion may land at a prefix's end
     k = 0
     while True:
         p = ps[k]
-        if i <= len(p):
-            ps[k] = p[:i] + c + p[i:]
-            return True
-        i -= len(p)  # i >= 1 characters of later output precede the spot
-        if k == len(ss):  # Return: i input characters must be copied before inserting
-            _skip(ps, ss, i)
-            ps[-1] = c
-            return True
-        n = ss[k]
-        if type(n) is int:
-            if i < n:  # the spot is the empty prefix after the run's i-th Skip
-                ss[k : k + 1] = [i, n - i]
-                ps.insert(k + 1, c)
+        if i < len(p) + reach:
+            if insert:
+                ps[k] = p[:i] + c + p[i:]
                 return True
-            i -= n
-        k += 1
-
-
-def _delete(ps: List[str], ss: List[Step], i: int, c: str) -> bool:
-    if i < 0:
-        return False
-    k = 0
-    while True:
-        p = ps[k]
-        if i < len(p):
             if p[i] != c:
                 return False  # that output position is fixed to a different character
             ps[k] = p = p[:i] + p[i + 1 :]
-            if not p and 0 < k < len(ss) and type(ss[k - 1]) is type(ss[k]) is int:
+            if not p and 0 < k < last and type(ss[k - 1]) is type(ss[k]) is int:
                 ss[k - 1 : k + 1] = [ss[k - 1] + ss[k]]
                 del ps[k]
             return True
-        i -= len(p)
-        if k == len(ss):  # Return: delete lands in the echoed input region
-            if i:
-                _skip(ps, ss, i)
-            ss.append(c)
-            ps.append("")
+        i -= len(p)  # an insertion has i >= 1 characters of later output before its spot
+        if k == last:  # Return: copy i input characters, then splice
+            if i and ss and not p and type(ss[-1]) is int:
+                ss[-1] += i
+            elif i:
+                ss.append(i)
+                ps.append("")
+            if insert:
+                ps[-1] = c
+            else:
+                ss.append(c)
+                ps.append("")
             return True
         n = ss[k]
         if type(n) is int:
             if i < n:
+                if insert:  # the spot is the empty prefix after the run's i-th Skip
+                    ss[k : k + 1] = [i, n - i]
+                    ps.insert(k + 1, c)
+                    return True
                 # deleting the run's i-th copied character pins the input there to c
                 split = [m for m in (i, c, n - i - 1) if m]
                 ss[k : k + 1] = split
@@ -308,8 +291,7 @@ def _delete(ps: List[str], ss: List[Step], i: int, c: str) -> bool:
 @splice.register
 def _splice(a: Ins, insert: bool, i: int, c: str) -> Optional[Ins]:
     ps, ss = list(a.prefixes), list(a.steps)
-    splicer = _insert if insert else _delete
-    return Ins._of(ps, ss) if splicer(ps, ss, i, c) else None
+    return Ins._of(ps, ss) if _edit(ps, ss, insert, i, c) else None
 
 
 def editor_insert(a: Ins, i: int, c: str) -> Optional[Ins]:
@@ -350,8 +332,7 @@ def semantics(w: Word) -> Editor:
     try:
         for lit in w.literals:
             e = lit.atom
-            splicer = _insert if (e.op is EditOp.INSERT) is (lit.polarity is Polarity.POSITIVE) else _delete
-            if not splicer(ps, ss, e.pos, e.arg):
+            if not _edit(ps, ss, (e.op is EditOp.INSERT) is (lit.polarity is Polarity.POSITIVE), e.pos, e.arg):
                 return Fail()
     except AttributeError:  # an entry that is not a literal over an `Edit`
         a = action(DONE, w)

@@ -51,6 +51,12 @@ class Edit:
     pos: int
     arg: str
 
+    def __post_init__(self):
+        # the automaton model splices one character per edit; an empty or
+        # longer argument would make it disagree with the string action
+        if not isinstance(self.arg, str) or len(self.arg) != 1:
+            raise ValueError(f"an edit's argument is one character, not {self.arg!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class Literal:
@@ -166,40 +172,34 @@ def act(p: Any, s: Any) -> Optional[Any]:
     raise TypeError(f"not a patch: {type(p).__name__}")
 
 
-@act.register
-def _(p: Edit, s: Any) -> Optional[Any]:
-    return splice(s, p.op is EditOp.INSERT, p.pos, p.arg)
-
-
-@act.register
-def _(p: Literal, s: Any) -> Optional[Any]:
-    e = p.atom
-    positive = p.polarity is Polarity.POSITIVE
-    if type(e) is Edit:
-        return splice(s, (e.op is EditOp.INSERT) is positive, e.pos, e.arg)
-    return act(e if positive else inv(e), s)
-
-
 def _fold(s: Any, entries: Tuple[Any, ...], forward: bool) -> Optional[Any]:
     """Apply each entry in turn, forward (``action``) or backward (``undo``).
 
-    A literal over an `Edit` goes straight to the splicer of the state's
-    type, resolved once; any other entry takes the general path, after
+    A literal is unwrapped, its polarity folded into the direction.  An
+    `Edit`, bare or unwrapped, goes straight to the splicer of the state's
+    type, resolved once; any other entry goes to `action` or `undo`, after
     which the splicer is resolved again for the state it left.
     """
-    step = action if forward else undo
     splicer = splice.dispatch(type(s))
     for p in entries:
-        if type(p) is Literal and type(p.atom) is Edit:
-            e = p.atom
-            insert = (e.op is EditOp.INSERT) is ((p.polarity is Polarity.POSITIVE) is forward)
-            s = splicer(s, insert, e.pos, e.arg)
+        direction = forward
+        if type(p) is Literal:
+            direction = (p.polarity is Polarity.POSITIVE) is forward
+            p = p.atom
+        if type(p) is Edit:
+            s = splicer(s, (p.op is EditOp.INSERT) is direction, p.pos, p.arg)
         else:
-            s = step(s, p)
+            s = action(s, p) if direction else undo(s, p)
             splicer = splice.dispatch(type(s))
         if s is None:
             return None
     return s
+
+
+@act.register(Edit)
+@act.register(Literal)
+def _(p: Any, s: Any) -> Optional[Any]:
+    return _fold(s, (p,), True)
 
 
 @act.register
@@ -213,10 +213,12 @@ def action(s: Any, p: Any) -> Optional[Any]:
 
 
 def undo(s: Any, p: Any) -> Optional[Any]:
-    """Revert ``p`` on ``s``: the action of the inverse patch.  A word is
-    undone entry by entry in reverse, without building its inverse."""
+    """Revert ``p`` on ``s``: the action of the inverse patch.  An edit, a
+    literal or a word is undone without building its inverse."""
     if type(p) is Word:
         return _fold(s, p.literals[::-1], False)
+    if type(p) is Edit or type(p) is Literal:
+        return _fold(s, (p,), False)
     return action(s, inv(p))
 
 

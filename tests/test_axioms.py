@@ -158,6 +158,11 @@ def test_nonneg_lift_rejects_ineligible_axioms():
         nonneg_lift(MonoidCommute(INT_ADD))
 
 
+def test_nonneg_lift_rejects_a_constant_proposition():
+    with pytest.raises(TypeError, match="^non-negative lifting needs an integer-indexed proposition$"):
+        nonneg_lift(Meta(True))
+
+
 def test_nonneg_eligibility_registry():
     assert is_nonneg_eligible(RepeatLength("a"))
     assert not is_nonneg_eligible(MonoidCommute(INT_ADD))

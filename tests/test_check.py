@@ -236,6 +236,24 @@ def test_check_of_unannotated_predicate_is_tactical_error():
     assert "domain" in v.diagnostic
 
 
+def test_check_of_unmarked_value_is_tactical_error():
+    assert check(True).perform(5) == TacticalError("proposition is not marked with Meta")
+
+
+def test_check_of_predicate_without_argument_is_tactical_error():
+    v = check(Meta(lambda: True)).perform(5)
+    assert v == TacticalError("cannot infer a sample domain: predicate takes no argument")
+
+
+def test_check_names_an_unresolvable_annotation():
+    def p(x: "Undefined") -> bool:  # noqa: F821
+        return True
+
+    v = check(Meta(p)).perform(5)
+    assert isinstance(v, TacticalError)
+    assert "Undefined" in v.diagnostic
+
+
 def test_check_names_a_list_annotation_it_cannot_enumerate():
     def p(xs: list[int, str]) -> bool:
         return True

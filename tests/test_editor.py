@@ -245,6 +245,28 @@ def test_editor_delete_skip_becomes_del():
     assert editor_delete(start, 0, "c") == Ins("", Del("c", Ins("", Return())))
 
 
+def test_splices_agree_with_string_edits_on_enumerated_automata():
+    # every splice position of the first automata, Del chains, long runs
+    # and trailing runs included, against the edit applied to the output
+    from purecheck.editor import editor_delete, editor_insert
+    from purecheck.patches import string_delete, string_insert
+
+    inputs = all_strings(max_len=5)
+    for x in editors.generate(250):
+        if not isinstance(x, Try):
+            continue
+        a = x.insertion
+        outputs = [editor_action(s, a) for s in inputs]
+        width = sum(map(len, a.prefixes)) + sum(c if type(c) is int else 1 for c in a.steps)
+        for i, c in itertools.product(range(width + 3), "ab"):
+            for splice, edit in ((editor_insert, string_insert), (editor_delete, string_delete)):
+                got = splice(a, i, c)
+                assert got is None or is_normal(got)
+                for s, out in zip(inputs, outputs):
+                    want = None if out is None else edit(out, i, c)
+                    assert (None if got is None else editor_action(s, got)) == want, (x, i, c, s)
+
+
 # -- totality and the defined/undefined boundary --------------------------------
 
 

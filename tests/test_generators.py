@@ -254,6 +254,14 @@ def test_default_generator_rejects_a_list_of_several_types():
             default_generator(t)
 
 
+def test_default_generator_of_triples():
+    triples = default_generator(tuple[bool, bool, bool]).generate(8)
+    assert triples == gtriple(booleans(), booleans(), booleans()).generate(8)
+    assert sorted(triples) == sorted(itertools.product([False, True], repeat=3))
+    with pytest.raises(KeyError, match="no default generator for 4-tuples"):
+        default_generator(tuple[int, int, int, int])
+
+
 # ---------------------------------------------------------------------------
 # the four generator guarantees, across every exported generator
 

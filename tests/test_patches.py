@@ -124,6 +124,14 @@ def test_inv_is_an_involution(w):
     assert inv(inv(w)) == w
 
 
+@pytest.mark.parametrize("arg", ["", "ab", None])
+def test_edit_argument_is_one_character(arg):
+    # "-0:" once folded to an automaton that maps "" to "", while the
+    # string action of the same word is undefined there
+    with pytest.raises(ValueError, match="one character"):
+        Edit(EditOp.DELETE, 0, arg)
+
+
 # -- the action on strings ---------------------------------------------------
 
 
