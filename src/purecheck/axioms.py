@@ -153,9 +153,10 @@ def _(a: RepeatLength) -> Meta:
 def monoid_laws(m: Monoid) -> List[Tuple[str, Check]]:
     """The three defining laws, as named checks.
 
-    Associativity is quantified over one generator of triples rather than
-    three nested quantifiers, keeping the three variables' sample sizes
-    balanced at any budget.
+    Associativity is quantified over one `gtriple` generator rather than
+    three nested quantifiers.  Being a pair of a pair, it gives the third
+    variable far more distinct values than the first two (over an
+    endless element stream, 55 against 7 and 8 at budget 3000).
     """
     left = For(m.elements, lambda x: m.combine(m.unit, x) == x)
     right = For(m.elements, lambda x: m.combine(x, m.unit) == x)

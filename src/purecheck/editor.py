@@ -400,11 +400,8 @@ def _pattern(steps: Sequence[Step]) -> List[Optional[str]]:
     return out
 
 
-def _fill(pattern: Sequence[Optional[str]], overrides: Optional[dict] = None) -> str:
-    chars = [_FILLER if c is None else c for c in pattern]
-    for idx, c in (overrides or {}).items():
-        chars[idx] = c
-    return "".join(chars)
+def _fill(pattern: Sequence[Optional[str]]) -> str:
+    return "".join([_FILLER if c is None else c for c in pattern])
 
 
 def _other_char(c: str) -> str:
@@ -425,11 +422,9 @@ def witness_def(a: Editor) -> Optional[str]:
 def witness_undef(a: Editor) -> Optional[str]:
     """An input the automaton rejects; ``None`` exactly when it is total.
 
-    Any automaton that consumes at least one character already rejects
-    the empty string.
+    ``Fail`` rejects every input, and any automaton that consumes at least
+    one character already rejects the empty string.
     """
-    if isinstance(a, Fail):
-        return ""
     return None if is_total(a) else ""
 
 
@@ -453,7 +448,8 @@ def witness_def_undef(x: Editor, y: Editor) -> Optional[str]:
         if cy is None:
             continue
         if cx is None:
-            return _fill(px, {j: _other_char(cy)})
+            px[j] = _other_char(cy)
+            return _fill(px)
         if cx != cy:
             return _fill(px)
     return None

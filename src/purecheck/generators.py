@@ -227,7 +227,12 @@ def gmap(f: Callable[[Any], Any], g: Generator) -> Generator:
 
 
 def gtriple(g: Generator, h: Generator, k: Generator) -> Generator:
-    """Balanced triple product (a pair of a pair, flattened)."""
+    """Triple product: ``gpair(gpair(g, h), k)``, flattened.
+
+    Not balanced: at budget ``n`` the third component takes about
+    ``n ** 0.5`` distinct values and the first two about ``n ** 0.25``
+    each (7, 8 and 55 over three ``integers()`` at 3000).
+    """
     return gmap(lambda t: (t[0][0], t[0][1], t[1]), gpair(gpair(g, h), k))
 
 

@@ -52,6 +52,11 @@ class Edit:
     arg: str
 
     def __post_init__(self):
+        # the action tells the ops apart by identity and the fold compares
+        # positions as ints, so any other op or position (a bool among
+        # them) would act, fold or render as something else
+        if type(self.op) is not EditOp or type(self.pos) is not int:
+            raise ValueError(f"an edit is an EditOp at an int position, not {self.op!r} at {self.pos!r}")
         # the automaton model splices one character per edit; an empty or
         # longer argument would make it disagree with the string action
         if not isinstance(self.arg, str) or len(self.arg) != 1:
@@ -215,10 +220,8 @@ def action(s: Any, p: Any) -> Optional[Any]:
 def undo(s: Any, p: Any) -> Optional[Any]:
     """Revert ``p`` on ``s``: the action of the inverse patch.  An edit, a
     literal or a word is undone without building its inverse."""
-    if type(p) is Word:
-        return _fold(s, p.literals[::-1], False)
-    if type(p) is Edit or type(p) is Literal:
-        return _fold(s, (p,), False)
+    if type(p) is Word or type(p) is Edit or type(p) is Literal:
+        return _fold(s, p.literals[::-1] if type(p) is Word else (p,), False)
     return action(s, inv(p))
 
 
@@ -304,7 +307,9 @@ def parse_literal(text: str) -> Literal:
 edit_ops = generators.from_values([EditOp.INSERT, EditOp.DELETE])
 polarities = generators.from_values([Polarity.POSITIVE, Polarity.NEGATIVE])
 
-#: op × position × character, balanced so that no component races ahead
+#: (op, position) paired with the character: a pair of a pair, so the
+#: character runs ahead of the position (the first 3000 cover positions
+#: 0–27 and 55 characters)
 edits = gmap(
     lambda t: Edit(t[0][0], t[0][1], t[1]),
     gpair(gpair(edit_ops, generators.naturals()), generators.characters()),

@@ -175,12 +175,12 @@ def default_suite() -> Suite:
 
     suite.register(
         "raction.unit<string-append>",
-        check(axioms.axiomatic(axioms.RActionUnit(append, generators.strings(), axioms.STRING))),
+        check(axioms.axiomatic(axioms.RActionUnit(append, axioms.STRING.elements, axioms.STRING))),
         ("axiom", "raction"),
     )
     suite.register(
         "raction.compose<string-append>",
-        check(axioms.axiomatic(axioms.RActionCompose(append, generators.strings(), axioms.STRING))),
+        check(axioms.axiomatic(axioms.RActionCompose(append, axioms.STRING.elements, axioms.STRING))),
         ("axiom", "raction"),
     )
 
@@ -191,7 +191,7 @@ def default_suite() -> Suite:
     ):
         suite.register(
             f"patch.invert<string,{label}>",
-            check(axioms.axiomatic(axioms.PatchInvert(generators.strings(), domain, f"string,{label}"))),
+            check(axioms.axiomatic(axioms.PatchInvert(axioms.STRING.elements, domain, f"string,{label}"))),
             ("axiom", "patch"),
         )
 
@@ -219,8 +219,8 @@ def negative_suite() -> Suite:
 
 
 def full_suite() -> Suite:
-    suite = Suite()
-    for entry in (*default_suite().entries(), *negative_suite().entries()):
+    suite = default_suite()
+    for entry in negative_suite().entries():
         suite.register(entry.name, entry.check, entry.tags)
     return suite
 

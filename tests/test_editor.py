@@ -218,6 +218,20 @@ def test_word_equiv_agrees_with_brute_force():
 # -- splicing editors directly -------------------------------------------------
 
 
+def test_a_negative_position_never_applies():
+    from purecheck.editor import editor_delete, editor_insert
+    from purecheck.patches import from_list
+
+    assert editor_insert(DONE, -1, "a") is None
+    assert editor_delete(DONE, -1, "a") is None
+    assert action("ab", Edit(EditOp.INSERT, -1, "a")) is None
+    w = from_list([Edit(EditOp.INSERT, -1, "a")])
+    assert semantics(w) == Fail()
+    never = parse_word("+0:a,-0:b")
+    assert word_equiv(w, never)
+    assert brute_force_equiv(w, never, "ab", 3)
+
+
 def test_editor_insert_at_front():
     from purecheck.editor import editor_insert
 

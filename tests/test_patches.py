@@ -132,6 +132,20 @@ def test_edit_argument_is_one_character(arg):
         Edit(EditOp.DELETE, 0, arg)
 
 
+@pytest.mark.parametrize(
+    "op, pos",
+    [
+        ("+", 0),  # acted as a deletion and failed to render
+        (EditOp.INSERT, "0"),  # made word_equiv compare a str with an int
+        (EditOp.INSERT, 1.5),  # folded to a float run that failed to render
+        (EditOp.INSERT, True),  # rendered as "+True:x", which does not parse
+    ],
+)
+def test_edit_op_and_position_have_the_model_types(op, pos):
+    with pytest.raises(ValueError, match="an EditOp at an int position"):
+        Edit(op, pos, "x")
+
+
 # -- the action on strings ---------------------------------------------------
 
 

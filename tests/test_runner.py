@@ -1,6 +1,8 @@
 """Suites, reports, exit codes, and the command-line front end."""
 import hashlib
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,11 @@ def test_verdict_names():
     assert verdict_name(Falsified("3")) == "falsified"
     assert verdict_name(LogicalError("x")) == "logical_error"
     assert verdict_name(TacticalError("x")) == "tactical_error"
+
+
+def test_verdict_name_rejects_a_non_verdict():
+    with pytest.raises(TypeError, match="not a verdict: int"):
+        verdict_name(3)
 
 
 def test_report_json_shape():
@@ -259,6 +266,23 @@ def test_cli_oracle_equal(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "equal" in out
+
+
+def test_readme_oracle_example_runs_as_printed(tmp_path, capsys, monkeypatch):
+    # the README's first oracle example: its two printf lines under sh,
+    # then the oracle on the files they write, printing the README's lines
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in readme.split("```sh\n") if "purecheck oracle left.txt right.txt" in b)
+    lines = block.split("```")[0].splitlines()
+    shell = [line[2:] for line in lines if line.startswith("$ printf")]
+    printed = [line for line in lines if not line.startswith("$ ")]
+    assert len(shell) == 2 and len(printed) == 6
+    for command in shell:
+        subprocess.run(["sh", "-c", command], cwd=tmp_path, check=True)
+    monkeypatch.chdir(tmp_path)
+    code = main(["oracle", "left.txt", "right.txt"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == printed
 
 
 def test_cli_oracle_different(tmp_path, capsys):
