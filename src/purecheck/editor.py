@@ -128,7 +128,7 @@ class Ins:
             for p, c in zip(self.prefixes, self.steps)
         )
         last = f"Ins(prefix={self.prefixes[-1]!r}, next=Return())"
-        return opened + last + "))" * len(_pattern(self.steps))
+        return opened + last + "))" * _length(self.steps)
 
 
 @dataclass(frozen=True)
@@ -329,10 +329,11 @@ def semantics(w: Word) -> Editor:
     """
     ps: List[str] = [""]
     ss: List[Step] = []
+    insert, positive = EditOp.INSERT, Polarity.POSITIVE  # one enum read per fold, not per literal
     try:
         for lit in w.literals:
             e = lit.atom
-            if not _edit(ps, ss, (e.op is EditOp.INSERT) is (lit.polarity is Polarity.POSITIVE), e.pos, e.arg):
+            if not _edit(ps, ss, (e.op is insert) is (lit.polarity is positive), e.pos, e.arg):
                 return Fail()
     except AttributeError:  # an entry that is not a literal over an `Edit`
         a = action(DONE, w)
@@ -381,27 +382,24 @@ def is_total(a: Editor) -> bool:
 # acceptance structure
 #
 # A Try-automaton accepts exactly the strings that are long enough and
-# match its per-position constraints, its *pattern*: the steps expanded to
-# one entry per consumed character, where a Skip (None) constrains nothing
-# and a Del pins the input character.  The input past the pattern is
-# irrelevant to acceptance — everything left over is echoed.
+# match its per-position constraints, its *pattern*: the steps read one
+# input character each, where a Skip constrains nothing and a Del pins the
+# character.  The input past the pattern is irrelevant to acceptance —
+# everything left over is echoed.  The witnesses read the run-length steps
+# as they are, so their cost is per step plus the string they return.
 
 
 _FILLER = "a"
 
 
-def _pattern(steps: Sequence[Step]) -> List[Optional[str]]:
-    out: List[Optional[str]] = []
-    for c in steps:
-        if type(c) is str:
-            out.append(c)
-        else:
-            out += [None] * c
-    return out
+def _length(steps: Sequence[Step]) -> int:
+    """The number of input characters the steps consume."""
+    return sum([1 if type(c) is str else c for c in steps])
 
 
-def _fill(pattern: Sequence[Optional[str]]) -> str:
-    return "".join([_FILLER if c is None else c for c in pattern])
+def _fill(steps: Sequence[Step]) -> str:
+    """The shortest input the steps accept, with every Skip reading ``_FILLER``."""
+    return "".join([c if type(c) is str else _FILLER * c for c in steps])
 
 
 def _other_char(c: str) -> str:
@@ -416,7 +414,7 @@ def witness_def(a: Editor) -> Optional[str]:
     """A shortest input the automaton accepts; ``None`` only for ``Fail``."""
     if isinstance(a, Fail):
         return None
-    return _fill(_pattern(a.insertion.steps))
+    return _fill(a.insertion.steps)
 
 
 def witness_undef(a: Editor) -> Optional[str]:
@@ -432,26 +430,35 @@ def witness_def_undef(x: Editor, y: Editor) -> Optional[str]:
     """An input accepted by ``x`` but rejected by ``y``, or ``None`` when no
     such input exists.
 
-    Decided on acceptance patterns: ``x`` separates from ``y`` iff its
-    pattern is shorter, or some position admits a character that ``x``
-    allows and ``y`` forbids.
+    Decided on the steps, without expanding a run: ``x`` separates from
+    ``y`` iff its pattern is shorter, or some ``Del`` of ``y`` pins a
+    position where ``x`` skips or pins a different character.  One cursor
+    walks ``y``'s steps, the other the step of ``x`` covering the same
+    input position.
     """
     if isinstance(x, Fail):
         return None
     if isinstance(y, Fail):
         return witness_def(x)
-    px, py = _pattern(x.insertion.steps), _pattern(y.insertion.steps)
-    if len(px) < len(py):
-        return _fill(px)  # too short for y
-    for j in range(len(py)):
-        cx, cy = px[j], py[j]
-        if cy is None:
+    sx, sy = x.insertion.steps, y.insertion.steps
+    if _length(sx) < _length(sy):
+        return _fill(sx)  # too short for y
+    j = 0  # the input position of y's step
+    k, end = -1, 0  # x's step k covers the input positions just before end
+    for cy in sy:
+        if type(cy) is int:
+            j += cy
             continue
-        if cx is None:
-            px[j] = _other_char(cy)
-            return _fill(px)
+        while end <= j:
+            k += 1
+            cx = sx[k]
+            end += 1 if type(cx) is str else cx
+        if type(cx) is int:  # x skips position j, so it allows a character y forbids
+            s = _fill(sx)
+            return s[:j] + _other_char(cy) + s[j + 1 :]
         if cx != cy:
-            return _fill(px)
+            return _fill(sx)
+        j += 1
     return None
 
 
@@ -485,12 +492,11 @@ def witness_diff(x: Editor, y: Editor) -> Optional[str]:
         return d
     # both Try, with equal patterns
     a, b = x.insertion, y.insertion
-    pattern = _pattern(a.steps)
-    used = {*"".join(a.prefixes + b.prefixes), *filter(None, pattern)}
+    used = {*"".join(a.prefixes + b.prefixes), *(c for c in a.steps if type(c) is str)}
     beyond_ascii = filter(str.isprintable, map(chr, range(0x80, 0x110000)))
     fresh = (ch for ch in itertools.chain(generators.CHARACTER_ORDER, beyond_ascii) if ch not in used)
     pool = itertools.cycle(fresh)
-    probe = "".join(c if c is not None else next(pool) for c in pattern)
+    probe = "".join([c if type(c) is str else "".join(itertools.islice(pool, c)) for c in a.steps])
     if editor_action(probe, x) != editor_action(probe, y):
         return probe
     return None

@@ -70,6 +70,12 @@ class Literal:
     polarity: Polarity
     atom: Any
 
+    def __post_init__(self):
+        # the action and the renderer tell the polarities apart by identity,
+        # so any other value would act and render as a negative literal
+        if type(self.polarity) is not Polarity:
+            raise ValueError(f"a literal's polarity is a Polarity, not {self.polarity!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class Word:
@@ -186,13 +192,14 @@ def _fold(s: Any, entries: Tuple[Any, ...], forward: bool) -> Optional[Any]:
     which the splicer is resolved again for the state it left.
     """
     splicer = splice.dispatch(type(s))
+    insert, positive = EditOp.INSERT, Polarity.POSITIVE  # one enum read per fold, not per literal
     for p in entries:
         direction = forward
         if type(p) is Literal:
-            direction = (p.polarity is Polarity.POSITIVE) is forward
+            direction = (p.polarity is positive) is forward
             p = p.atom
         if type(p) is Edit:
-            s = splicer(s, (p.op is EditOp.INSERT) is direction, p.pos, p.arg)
+            s = splicer(s, (p.op is insert) is direction, p.pos, p.arg)
         else:
             s = action(s, p) if direction else undo(s, p)
             splicer = splice.dispatch(type(s))

@@ -8,6 +8,7 @@ behaviour pointwise over a finite string universe.
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -55,7 +56,7 @@ from purecheck import (
     word_equiv,
     words,
 )
-from purecheck.generators import CHARACTER_ORDER, Generator
+from purecheck.generators import CHARACTER_ORDER, Generator, gpair
 
 # two different spellings of "insert an a at 2, then remove the b after it"
 LEFT = parse_word("+2:a,-3:b")
@@ -538,26 +539,35 @@ def _random_word(rng, alphabet="abcxyz", max_pos=200):
     )
 
 
+def _long_word_pairs():
+    """Six seeded probe strings, then 400 random words, each paired with
+    another random word, with itself reversed and with itself."""
+    rng = random.Random(7)
+    probes = [
+        "".join(rng.choice("abcxyz") for _ in range(rng.randint(0, 210))) for _ in range(6)
+    ]
+    pairs = []
+    for _ in range(400):
+        x = _random_word(rng)
+        pairs += ((x, y) for y in (_random_word(rng), Word(x.literals[::-1]), x))
+    return probes, pairs
+
+
 def test_model_agrees_with_action_on_long_words():
     # words with positions up to 200 over a six-letter alphabet, far past
     # what the brute-force universe reaches: random, reversed and identical
     # pairs; a witness must separate different automata, and equal automata
     # must agree on their defining input and on long probe strings
-    rng = random.Random(7)
-    probes = [
-        "".join(rng.choice("abcxyz") for _ in range(rng.randint(0, 210))) for _ in range(6)
-    ]
-    for _ in range(400):
-        x = _random_word(rng)
-        for y in (_random_word(rng), Word(x.literals[::-1]), x):
-            ex, ey = semantics(x), semantics(y)
-            if ex != ey:
-                s = witness_diff(ex, ey)
-                assert s is not None and action(s, x) != action(s, y), (x, y)
-                continue
-            for s in [witness_def(ex)] + probes:
-                if s is not None:
-                    assert action(s, x) == action(s, y), (x, y, s)
+    probes, pairs = _long_word_pairs()
+    for x, y in pairs:
+        ex, ey = semantics(x), semantics(y)
+        if ex != ey:
+            s = witness_diff(ex, ey)
+            assert s is not None and action(s, x) != action(s, y), (x, y)
+            continue
+        for s in [witness_def(ex)] + probes:
+            if s is not None:
+                assert action(s, x) == action(s, y), (x, y, s)
 
 
 def _clustered_word(rng):
@@ -589,6 +599,43 @@ def test_normal_forms_of_long_words_are_pinned():
 
 
 # -- runs: the fold's size tracks the number of edits, not the positions ----------
+
+
+def test_witness_text_is_pinned():
+    # every witness construction may change how it reads the steps, not a
+    # byte of what it returns: sha256 over the witnesses of the first 3000
+    # editors, of the first 1500 editor pairs (both separation directions)
+    # and of the seeded long-word pairs
+    pairs = gpair(editors, editors).generate(1500)
+    pairs += [(semantics(x), semantics(y)) for x, y in _long_word_pairs()[1]]
+    witnesses = [(witness_def(a), witness_undef(a)) for a in editors.generate(3000)]
+    witnesses += [
+        (witness_def(x), witness_def_undef(x, y), witness_def_undef(y, x), witness_diff(x, y))
+        for x, y in pairs
+    ]
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == (
+        "e4b11aa88f2bac4544c4a320b5e8bf39d022eaa73e8718924f7ad9fe864c6cb8"
+    )
+
+
+def test_witnesses_of_long_runs_cost_per_step():
+    # a run of a million Skips is one step, and so is its witness work: two
+    # such runs ending in different insertions accept the same inputs,
+    # which takes no per-position list to decide, and a witness costs
+    # about the string it returns
+    x, y = semantics(parse_word("+1000000:a")), semantics(parse_word("+1000000:b"))
+    z = semantics(parse_word("-1000000:a"))
+    tracemalloc.start()
+    try:
+        assert witness_def_undef(x, y) is None and witness_def_undef(y, x) is None
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        tracemalloc.reset_peak()
+        s = witness_def(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s == "a" * 1000001
+    assert peak < 3 * len(s)
 
 
 def test_fold_size_tracks_the_number_of_edits():

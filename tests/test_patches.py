@@ -146,6 +146,19 @@ def test_edit_op_and_position_have_the_model_types(op, pos):
         Edit(op, pos, "x")
 
 
+@pytest.mark.parametrize(
+    "polarity",
+    [
+        "positive",  # acted as a negative literal, rendered "~+0:b", and had no inverse
+        True,
+        None,
+    ],
+)
+def test_literal_polarity_is_a_polarity(polarity):
+    with pytest.raises(ValueError, match="polarity is a Polarity"):
+        Literal(polarity, Edit(EditOp.INSERT, 0, "b"))
+
+
 # -- the action on strings ---------------------------------------------------
 
 
