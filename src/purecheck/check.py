@@ -264,7 +264,20 @@ def check(p: Meta) -> Check:
     if value is None:
         return conjoin()
     if isinstance(value, (tuple, list)):
-        return conjoin(*(check(c if isinstance(c, Meta) else Meta(c)) for c in value))
+        # depth first, left to right, on a stack of iterators: nesting
+        # costs no recursion
+        clauses = []
+        stack = [iter(value)]
+        while stack:
+            for c in stack[-1]:
+                c = c.reflect if isinstance(c, Meta) else c
+                if isinstance(c, (tuple, list)):
+                    stack.append(iter(c))
+                    break
+                clauses.append(check(Meta(c)))
+            else:
+                stack.pop()
+        return conjoin(*clauses)
     if isinstance(value, For):
         return check_with(value.bound, Meta(value.body))
     if callable(value):

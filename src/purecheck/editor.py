@@ -57,7 +57,7 @@ from . import generators, patches
 from .check import Check, For, Meta, NestedFor, check, qmerge, render
 from .existentials import exists, exists_or_vacuous, exists_some
 from .generators import Generator, gpair, register_default
-from .patches import Edit, EditOp, Polarity, Word, act, action, from_list, splice
+from .patches import Edit, EditOp, Polarity, Word, action, from_list, splice
 
 # ---------------------------------------------------------------------------
 # the automaton
@@ -201,13 +201,6 @@ def editor_action(s: str, a: Union[Editor, Ins]) -> Optional[str]:
             j += c
     out += (a.prefixes[-1], s[j:])
     return "".join(out)
-
-
-@act.register(Try)
-@act.register(Fail)
-@act.register(Ins)
-def _(a: Union[Editor, Ins], s: str) -> Optional[str]:
-    return editor_action(s, a)
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,8 @@ def string_delete(s: str, i: int, c: str) -> Optional[str]:
 # (keyed on the patch), a new editable state with `splice` (keyed on the
 # state).  `splice` takes the effective edit, polarity already folded in:
 # ``splice(s, insert, i, c)`` inserts (``insert``) or deletes character
-# ``c`` at position ``i``.  purecheck.editor adds its automata on both.
+# ``c`` at position ``i``.  purecheck.editor adds its automata as a state
+# only: they are what a word denotes, not patches.
 
 
 @functools.singledispatch
@@ -210,13 +211,9 @@ def _fold(s: Any, entries: Tuple[Any, ...], forward: bool) -> Optional[Any]:
 
 @act.register(Edit)
 @act.register(Literal)
+@act.register(Word)
 def _(p: Any, s: Any) -> Optional[Any]:
-    return _fold(s, (p,), True)
-
-
-@act.register
-def _(p: Word, s: Any) -> Optional[Any]:
-    return _fold(s, p.literals, True)
+    return _fold(s, p.literals if type(p) is Word else (p,), True)
 
 
 def action(s: Any, p: Any) -> Optional[Any]:
@@ -260,15 +257,20 @@ def render_edit(e: Edit) -> str:
     return f"{e.op.value}{e.pos}:{e.arg}"
 
 
+def _render_entry(x: Any) -> str:
+    """A literal's atom or a word's entry; a nested word in parentheses."""
+    return f"({render_word(x)})" if type(x) is Word else render(x)
+
+
 @render.register
 def render_literal(lit: Literal) -> str:
     mark = "" if lit.polarity is Polarity.POSITIVE else "~"
-    return mark + render_edit(lit.atom)
+    return mark + _render_entry(lit.atom)
 
 
 @render.register
 def render_word(w: Word) -> str:
-    return ",".join(render_literal(lit) for lit in w.literals)
+    return ",".join(map(_render_entry, w.literals))
 
 
 def _tokens(text: str) -> Optional[List[str]]:

@@ -391,6 +391,20 @@ def test_deep_conjunction_does_not_recurse():
     assert isinstance((chained & check(Meta(False))).perform(1), Falsified)
 
 
+def test_deeply_nested_proposition_holds():
+    holds = True
+    for _ in range(5000):
+        holds = (holds, Meta([True]))
+    assert check(Meta(holds)).perform(1) == Holds()
+
+
+def test_deeply_nested_proposition_is_falsified():
+    falsified = [False]
+    for _ in range(5000):
+        falsified = [True, falsified, True]
+    assert check(Meta(falsified)).perform(1) == Falsified()
+
+
 def test_confidence_indexes_the_whole_conjunction():
     # a compound property: both clauses get n samples each
     left = check_with(from_values(list(range(100))), lambda x: x < 99)

@@ -16,12 +16,17 @@ import purecheck
 from purecheck import (
     Edit,
     EditOp,
+    Falsified,
+    For,
     Literal,
+    Meta,
     Polarity,
     Word,
     action,
+    check,
     edits,
     from_list,
+    from_values,
     gpair,
     inv,
     literals,
@@ -290,6 +295,13 @@ def test_fold_keeps_the_errors_of_the_dispatchers():
         inv(Word((1, 2)))
 
 
+def test_automata_are_states_not_patches():
+    # an automaton is what a word denotes: it is edited, it does not act
+    with pytest.raises(TypeError, match="not a patch: Ins"):
+        action("ab", DONE)
+    assert action(DONE, parse_word("+0:a")) == Ins("a", Return())
+
+
 # -- text form ----------------------------------------------------------------
 
 
@@ -304,6 +316,19 @@ def test_render_word():
     w = Word((lit(EditOp.INSERT, 0, "a"), lit(EditOp.DELETE, 1, "b", neg=True)))
     assert render(w) == "+0:a,~-1:b"
     assert render(Word(())) == ""
+
+
+def test_render_reads_every_entry_action_accepts():
+    # a bare edit, a nested word and a literal over a word render as what
+    # they are; a nested word stands in parentheses
+    e = Edit(EditOp.INSERT, 1, "a")
+    f = Edit(EditOp.DELETE, 0, "b")
+    w = Word((e, from_list([e, f]), Literal(Polarity.NEGATIVE, from_list([f]))))
+    assert render(w) == "+1:a,(+1:a,-0:b),~(-0:b)"
+    assert render(Word((Literal(Polarity.NEGATIVE, from_list([e])),))) == "~(+1:a)"
+    # so a check over such words reports a counterexample instead of raising
+    failing = check(Meta(For(from_values([Word((e,))]), lambda w: False)))
+    assert failing.perform(1) == Falsified("+1:a")
 
 
 def test_parse_word_round_trip_examples():
