@@ -49,7 +49,7 @@ the machinery of :mod:`purecheck.check`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -57,7 +57,7 @@ from . import generators, patches
 from .check import Check, For, Meta, NestedFor, check, qmerge, render
 from .existentials import exists, exists_or_vacuous, exists_some
 from .generators import Generator, gpair, register_default
-from .patches import Edit, EditOp, Polarity, Word, action, from_list, splice
+from .patches import INSERT, POSITIVE, Edit, EditOp, Word, action, from_list, splice
 
 # ---------------------------------------------------------------------------
 # the automaton
@@ -85,13 +85,21 @@ Consumption = Union[Skip, Del, Return]
 Step = Union[str, int]
 
 
+def _length(steps: Sequence[Step]) -> int:
+    """The number of input characters the steps consume."""
+    return sum([1 if type(c) is str else c for c in steps])
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class Ins:
     """An insertion chain: ``prefixes[k]`` is emitted before ``steps[k]``,
-    and the last prefix before the rest of the input is echoed."""
+    and the last prefix before the rest of the input is echoed.  ``length``
+    is the number of input characters the steps consume, the length of the
+    pattern; it is fixed by ``steps``, so it takes no part in equality."""
 
     prefixes: Tuple[str, ...]
     steps: Tuple[Step, ...]
+    length: int = field(compare=False)
 
     def __init__(self, prefix: str, next: Consumption) -> None:
         if isinstance(next, Return):
@@ -107,6 +115,7 @@ class Ins:
             prefixes, steps = (prefix, *ps), (step, *ss)
         object.__setattr__(self, "prefixes", prefixes)
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "length", _length(steps))
 
     @classmethod
     def _of(cls, prefixes: List[str], steps: List[Step]) -> "Ins":
@@ -114,6 +123,7 @@ class Ins:
         a = cls.__new__(cls)
         object.__setattr__(a, "prefixes", tuple(prefixes))
         object.__setattr__(a, "steps", tuple(steps))
+        object.__setattr__(a, "length", _length(steps))
         return a
 
     def __repr__(self) -> str:
@@ -128,7 +138,7 @@ class Ins:
             for p, c in zip(self.prefixes, self.steps)
         )
         last = f"Ins(prefix={self.prefixes[-1]!r}, next=Return())"
-        return opened + last + "))" * _length(self.steps)
+        return opened + last + "))" * self.length
 
 
 @dataclass(frozen=True)
@@ -322,7 +332,7 @@ def semantics(w: Word) -> Editor:
     """
     ps: List[str] = [""]
     ss: List[Step] = []
-    insert, positive = EditOp.INSERT, Polarity.POSITIVE  # one enum read per fold, not per literal
+    insert, positive = INSERT, POSITIVE  # one global read per fold, not per literal
     try:
         for lit in w.literals:
             e = lit.atom
@@ -385,11 +395,6 @@ def is_total(a: Editor) -> bool:
 _FILLER = "a"
 
 
-def _length(steps: Sequence[Step]) -> int:
-    """The number of input characters the steps consume."""
-    return sum([1 if type(c) is str else c for c in steps])
-
-
 def _fill(steps: Sequence[Step]) -> str:
     """The shortest input the steps accept, with every Skip reading ``_FILLER``."""
     return "".join([c if type(c) is str else _FILLER * c for c in steps])
@@ -434,7 +439,7 @@ def witness_def_undef(x: Editor, y: Editor) -> Optional[str]:
     if isinstance(y, Fail):
         return witness_def(x)
     sx, sy = x.insertion.steps, y.insertion.steps
-    if _length(sx) < _length(sy):
+    if x.insertion.length < y.insertion.length:
         return _fill(sx)  # too short for y
     j = 0  # the input position of y's step
     k, end = -1, 0  # x's step k covers the input positions just before end

@@ -43,6 +43,12 @@ class EditOp(Enum):
     __hash__ = object.__hash__
 
 
+# Reading a member through its class is an attribute lookup on the enum's
+# metaclass; hot paths read these names instead.
+INSERT, DELETE = EditOp.INSERT, EditOp.DELETE
+POSITIVE, NEGATIVE = Polarity.POSITIVE, Polarity.NEGATIVE
+
+
 @dataclass(frozen=True, slots=True)
 class Edit:
     """Insert or delete one character at a 0-based position."""
@@ -164,7 +170,11 @@ def string_delete(s: str, i: int, c: str) -> Optional[str]:
 # state).  `splice` takes the effective edit, polarity already folded in:
 # ``splice(s, insert, i, c)`` inserts (``insert``) or deletes character
 # ``c`` at position ``i``.  purecheck.editor adds its automata as a state
-# only: they are what a word denotes, not patches.
+# only: they are what a word denotes, not patches.  The hot paths look an
+# implementation up by exact type in the dispatcher's `registry` and call
+# `dispatch`, which also walks the type's bases, only when that misses;
+# `dispatch` answers ``registry[cls]`` for every registered ``cls``, so the
+# two agree.
 
 
 @functools.singledispatch
@@ -192,8 +202,9 @@ def _fold(s: Any, entries: Tuple[Any, ...], forward: bool) -> Optional[Any]:
     type, resolved once; any other entry goes to `action` or `undo`, after
     which the splicer is resolved again for the state it left.
     """
-    splicer = splice.dispatch(type(s))
-    insert, positive = EditOp.INSERT, Polarity.POSITIVE  # one enum read per fold, not per literal
+    splicers = splice.registry
+    splicer = splicers.get(type(s)) or splice.dispatch(type(s))
+    insert, positive = INSERT, POSITIVE  # one global read per fold, not per literal
     for p in entries:
         direction = forward
         if type(p) is Literal:
@@ -203,7 +214,7 @@ def _fold(s: Any, entries: Tuple[Any, ...], forward: bool) -> Optional[Any]:
             s = splicer(s, (p.op is insert) is direction, p.pos, p.arg)
         else:
             s = action(s, p) if direction else undo(s, p)
-            splicer = splice.dispatch(type(s))
+            splicer = splicers.get(type(s)) or splice.dispatch(type(s))
         if s is None:
             return None
     return s
@@ -218,7 +229,7 @@ def _(p: Any, s: Any) -> Optional[Any]:
 
 def action(s: Any, p: Any) -> Optional[Any]:
     """Apply patch ``p`` to state ``s``; ``None`` when it does not apply."""
-    return act(p, s)
+    return (act.registry.get(type(p)) or act.dispatch(type(p)))(p, s)
 
 
 def undo(s: Any, p: Any) -> Optional[Any]:
@@ -249,7 +260,9 @@ def to_list(w: Word) -> list:
 # "+0:," a comma.  A word joins its literals with ","; parsing also allows
 # whitespace around each ",", so every rendered word parses back.
 
-_LITERAL = re.compile(r"(~?[+-]\d+:.)", re.DOTALL)
+# `[0-9]`, not `\d`: in a `str` pattern `\d` matches every Unicode decimal
+# digit, and `int` reads "٣" as 3, so "+٣:a" would parse as "+3:a"
+_LITERAL = re.compile(r"(~?[+-][0-9]+:.)", re.DOTALL)
 
 
 @render.register
@@ -291,9 +304,9 @@ def _literal(token: str) -> Literal:
     text while it stays in the cache; equal texts share one object."""
     negative = token[0] == "~"
     body = token[1:] if negative else token
-    op = EditOp.INSERT if body[0] == "+" else EditOp.DELETE
+    op = INSERT if body[0] == "+" else DELETE
     edit = Edit(op, int(body[1:-2]), body[-1])
-    return Literal(Polarity.NEGATIVE if negative else Polarity.POSITIVE, edit)
+    return Literal(NEGATIVE if negative else POSITIVE, edit)
 
 
 def parse_word(text: str) -> Word:

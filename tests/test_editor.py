@@ -5,8 +5,10 @@ Frozen expected structures in this file were derived by hand-running the
 splicing rules and cross-checked against `brute_force_equiv`, which compares
 behaviour pointwise over a finite string universe.
 """
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -38,6 +40,8 @@ from purecheck import (
     cons_eq,
     editor,
     editor_action,
+    editor_delete,
+    editor_insert,
     editors,
     exists,
     exists_or_vacuous,
@@ -642,6 +646,50 @@ def test_fold_size_tracks_the_number_of_edits():
     # a run of a million Skips is one step; no timing gate, only the size
     assert len(semantics(parse_word("+1000000:a")).insertion.steps) == 1
     assert word_equiv(parse_word("+1000000:a,+0:b"), parse_word("+0:b,+1000001:a"))
+
+
+def _consumes(a):
+    """The input characters ``a`` consumes, read off its behaviour: the
+    length of an input it accepts but rejects without the last character.
+    That prefix meets every constraint the input met, so it is too short."""
+    w = witness_def(Try(a))
+    assert editor_action(w, a) is not None
+    assert not w or editor_action(w[:-1], a) is None
+    return len(w)
+
+
+def test_an_automaton_carries_the_length_of_its_pattern():
+    built = [x.insertion for x in editors.generate(3000) if x != Fail()]
+    built += [x.insertion for x in map(semantics, words.generate(3000)) if x != Fail()]
+    spelled = [
+        DONE,
+        Ins("x", Skip(Ins("", Skip(DONE)))),
+        Ins("", Del("a", Ins("b", Skip(Ins("", Skip(DONE)))))),
+        Ins("", Skip(Ins("y", Del("c", DONE)))),
+        ins("", Del("a", Ins("b", Del("c", Ins("d", Return()))))),
+        ins("z", Skip(Ins("", Del("a", Ins("b", Skip(DONE)))))),
+    ]
+    spliced = [
+        r
+        for a in built[:300] + spelled
+        for i in range(4)
+        for r in (editor_insert(a, i, "a"), editor_delete(a, i, "a"), editor_delete(a, i, "b"))
+        if r is not None
+    ]
+    assert len(spliced) > 1000
+    for a in built + spelled + spliced:
+        assert a.length == _consumes(a), repr(a)
+
+
+def test_the_length_of_a_pattern_takes_no_part_in_equality():
+    nested = Ins("", Skip(Ins("", Skip(Ins("", Del("a", DONE))))))
+    flat = Ins._of(["", "", ""], [2, "a"])
+    folded = semantics(parse_word("+0:a,-0:a,-2:a")).insertion
+    assert nested == flat == folded and len({nested, flat, folded}) == 1
+    assert nested.length == flat.length == folded.length == 3
+    for a in (nested, DONE, Ins("x", Skip(Ins("", Del("a", DONE))))):
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert b == a and hash(b) == hash(a) and b.length == a.length
 
 
 def test_is_normal_rejects_unmerged_runs():

@@ -30,6 +30,7 @@ from purecheck import (
     gpair,
     inv,
     literals,
+    parse_literal,
     parse_word,
     render,
     render_word,
@@ -41,7 +42,7 @@ from purecheck import (
     words,
 )
 from purecheck.editor import DONE, Ins, Return, editor_action
-from purecheck.patches import act
+from purecheck.patches import act, splice
 
 # -- handy strategies -------------------------------------------------------
 
@@ -295,6 +296,57 @@ def test_fold_keeps_the_errors_of_the_dispatchers():
         inv(Word((1, 2)))
 
 
+def test_exact_type_resolution_agrees_with_dispatch():
+    # `action` and the fold read `registry[type(x)]` first; `dispatch`
+    # answers the same for every registered type
+    for dispatcher in (act, splice):
+        for cls, impl in dispatcher.registry.items():
+            assert dispatcher.registry.get(cls) is dispatcher.dispatch(cls) is impl, cls
+    assert {Edit, Literal, Word} <= set(act.registry) and {str, Ins} <= set(splice.registry)
+
+    # a subclass of `str` is not registered: its splicer comes from `dispatch`
+    class Text(str):
+        pass
+
+    assert splice.registry.get(Text) is None and splice.dispatch(Text) is splice.registry[str]
+    w = parse_word("+1:x,~-0:a")
+    assert action(Text("ab"), w) == action("ab", w) == "aaxb"
+    assert undo(Text("aaxb"), w) == "ab"
+
+    # a type that is not a patch still falls through to the default
+    class Unregistered:
+        pass
+
+    for p in (Unregistered(), Word((Unregistered(),))):
+        with pytest.raises(TypeError, match="^not a patch: Unregistered$"):
+            action("a", p)
+
+
+def test_kinds_registered_after_the_first_call_are_honoured():
+    class Bang:
+        pass
+
+    class Tape:
+        def __init__(self, text):
+            self.text = text
+
+    with pytest.raises(TypeError, match="^not a patch: Bang$"):
+        action("a", Bang())
+    with pytest.raises(TypeError, match="^states of type Tape do not support edits$"):
+        action(Tape("a"), parse_word("+0:b"))
+
+    @splice.register(Tape)
+    def _(s, insert, i, c):
+        t = string_insert(s.text, i, c) if insert else string_delete(s.text, i, c)
+        return None if t is None else Tape(t)
+
+    act.register(Bang)(lambda p, s: s + "!")
+    assert action("a", Bang()) == "a!"
+    assert action("a", Word((parse_literal("+0:b"), Bang()))) == "ba!"
+    assert action(Tape("a"), parse_word("+0:b,-1:a,+1:c")).text == "bc"
+    assert action(Tape("a"), parse_word("-0:b")) is None
+
+
 def test_automata_are_states_not_patches():
     # an automaton is what a word denotes: it is edited, it does not act
     with pytest.raises(TypeError, match="not a patch: Ins"):
@@ -353,17 +405,21 @@ def test_every_rendered_word_parses_back():
         )
     )
     assert parse_word(" +0:a , ~-1:b ") == parse_word("+0:a,~-1:b")
+    assert render_word(parse_word("+3:٣")) == "+3:٣"
     for w in words.generate(20000):
         assert parse_word(render_word(w)) == w, render_word(w)
 
 
 def test_parse_rejects_garbage():
-    for bad in ("+:a", "1:a", "+1:", "+1:ab", "*1:a", "+-1:a"):
-        try:
-            parse_word(bad)
-        except ValueError:
-            continue
-        raise AssertionError(f"expected parse failure for {bad!r}")
+    # positions are ASCII digits: `int` reads any Unicode decimal digit, so
+    # "+٣:a" would parse as "+3:a" and not render back
+    for bad in ("+:a", "1:a", "+1:", "+1:ab", "*1:a", "+-1:a", "+٣:a", "+２:a", "~-１:b", "+1٣:a", "+0:a,+٣:a"):
+        for parse in (parse_word, parse_literal):
+            try:
+                parse(bad)
+            except ValueError:
+                continue
+            raise AssertionError(f"expected {parse.__name__} to fail on {bad!r}")
 
 
 def test_repeated_literal_texts_parse_to_one_object():
