@@ -593,6 +593,14 @@ def render_editor(a: Union[Editor, Ins]) -> str:
 # (the prefix after a ``Del`` is empty; an empty prefix after a run is
 # never followed by another run), so no candidate is built and then
 # dropped, and distinctness holds because every chain is spelled once.
+# A chain after its first prefix is a step and a *tail*, the chain that
+# may follow a ``Del`` or a run; as in Feat's memoised size classes, each
+# weight class of tails, and of the steps with their tails, is built once
+# per enumeration as a list, when first read.  The root weight class is
+# yielded as it is built, sharing each steps tuple with the memo.
+
+#: A chain's ``(prefixes, steps)``.
+_Chain = Tuple[Tuple[str, ...], Tuple[Step, ...]]
 
 
 def _strings_of_weight(w: int) -> Iterator[str]:
@@ -606,29 +614,50 @@ def _strings_of_weight(w: int) -> Iterator[str]:
             yield c + rest
 
 
-def _chains(w: int, after: Optional[Step]) -> Iterator[Tuple[Tuple[str, ...], Tuple[Step, ...]]]:
-    """The normal-form ``(prefixes, steps)`` of total weight ``w`` that may
-    follow the step ``after`` (``None`` at the root)."""
-    for pw in range(0 if type(after) is str else w, -1, -1):
+def _chains(w: int, after: Optional[str], memo: dict) -> Iterator[_Chain]:
+    """The normal-form chains of total weight ``w`` that may follow a step
+    of kind ``after``, ``"del"`` or ``"run"`` (``None`` at the root): a
+    first prefix and, unless it weighs ``w``, one of the `_moves` of the
+    rest."""
+    for pw in range(0 if after == "del" else w, -1, -1):
         r = w - pw
         for p in _strings_of_weight(pw):
             if not r:
                 yield (p,), ()
                 continue
-            for k, c in enumerate(generators.CHARACTER_ORDER[:r], 1):
-                for ps, ss in _chains(r - k, c):
-                    yield (p, *ps), (c, *ss)
-            if p or type(after) is not int:
-                for n in range(1, r + 1):
-                    for ps, ss in _chains(r - n, n):
-                        yield (p, *ps), (n, *ss)
+            for ps, ss in _moves(r, p != "" or after != "run", memo):
+                yield (p, *ps), ss
+
+
+def _moves(r: int, runs: bool, memo: dict) -> List[_Chain]:
+    """The ways to spend weight ``r > 0`` after a prefix: a first step and
+    the tail after it, as the tail's prefixes and all the steps; ``Del``
+    steps first, then runs when ``runs``.  ``memo`` keeps every list of
+    moves, keyed ``(r, runs)``, and every weight class of tails, keyed
+    ``(w, kind)``."""
+    if (r, runs) not in memo:
+        dels = memo[r, False] = [
+            (ps, (c, *ss))
+            for k, c in enumerate(generators.CHARACTER_ORDER[:r], 1)
+            for ps, ss in _tails(r - k, "del", memo)
+        ]
+        memo[r, True] = dels + [(ps, (n, *ss)) for n in range(1, r + 1) for ps, ss in _tails(r - n, "run", memo)]
+    return memo[r, runs]
+
+
+def _tails(w: int, kind: str, memo: dict) -> List[_Chain]:
+    """The chains of weight ``w`` that may follow a step of ``kind``."""
+    if (w, kind) not in memo:
+        memo[w, kind] = list(_chains(w, kind, memo))
+    return memo[w, kind]
 
 
 def _editors() -> Iterator[Editor]:
     """Every normal-form automaton once, lightest first; ``Fail`` right
     after the weight-1 chains."""
+    memo: dict = {}
     for w in itertools.count():
-        for ps, ss in _chains(w, None):
+        for ps, ss in _chains(w, None, memo):
             yield Try(Ins._of(ps, ss))
         if w == 1:
             yield Fail()

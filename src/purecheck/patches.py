@@ -260,9 +260,11 @@ def to_list(w: Word) -> list:
 # "+0:," a comma.  A word joins its literals with ","; parsing also allows
 # whitespace around each ",", so every rendered word parses back.
 
-# `[0-9]`, not `\d`: in a `str` pattern `\d` matches every Unicode decimal
-# digit, and `int` reads "٣" as 3, so "+٣:a" would parse as "+3:a"
-_LITERAL = re.compile(r"(~?[+-][0-9]+:.)", re.DOTALL)
+# A position is `0` or ASCII digits without a leading zero, as `render`
+# writes it: `int` reads "٣" as 3 (in a `str` pattern `\d` matches every
+# Unicode decimal digit) and "03" as 3, so "+٣:a" or "+03:a" would parse
+# as "+3:a" and not render back
+_LITERAL = re.compile(r"(~?[+-](?:0|[1-9][0-9]*):.)", re.DOTALL)
 
 
 @render.register

@@ -407,7 +407,7 @@ def test_render_editor():
 
 
 def test_editors_are_normal_and_distinct():
-    es = editors.generate(200)
+    es = editors.generate(30000)
     assert len(set(es)) == len(es)
     for e in es:
         assert e == Fail() or is_normal(e.insertion if isinstance(e, Try) else e)
@@ -464,6 +464,49 @@ def test_editors_cover_every_small_normal_form_once():
                     universe.append(a)
     assert len(universe) == 747
     assert all(a in index for a in universe)
+
+
+def _reference_strings_of_weight(w):
+    if not w:
+        yield ""
+        return
+    for k, c in enumerate(CHARACTER_ORDER[:w], 1):
+        for rest in _reference_strings_of_weight(w - k):
+            yield c + rest
+
+
+def _reference_chains(w, after):
+    # the enumeration before its tails were memoised: every chain recurses
+    # through the generators of its tails, afresh for every head prefix
+    for pw in range(0 if type(after) is str else w, -1, -1):
+        r = w - pw
+        for p in _reference_strings_of_weight(pw):
+            if not r:
+                yield (p,), ()
+                continue
+            for k, c in enumerate(CHARACTER_ORDER[:r], 1):
+                for ps, ss in _reference_chains(r - k, c):
+                    yield (p, *ps), (c, *ss)
+            if p or type(after) is not int:
+                for n in range(1, r + 1):
+                    for ps, ss in _reference_chains(r - n, n):
+                        yield (p, *ps), (n, *ss)
+
+
+def _reference_editors():
+    for w in itertools.count():
+        for ps, ss in _reference_chains(w, None):
+            yield Try(Ins._of(ps, ss))
+        if w == 1:
+            yield Fail()
+
+
+def test_memoised_tails_enumerate_the_reference_order():
+    assert editors.generate(30000) == list(itertools.islice(_reference_editors(), 30000))
+
+
+def test_a_fresh_enumeration_builds_its_own_tails():
+    assert Generator(editor._editors).generate(3000) == editors.generate(3000)
 
 
 def test_reify_is_a_right_inverse_of_semantics():

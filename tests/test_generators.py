@@ -226,6 +226,14 @@ def test_enumeration_order_is_pinned():
     )
 
 
+def test_editors_order_is_pinned_at_30000():
+    # past the 3000 of the pin above: weight classes 8 and 9, whose chains
+    # reuse the memoised tails of every lighter class
+    assert _digest(editor.editors.generate(30000)) == (
+        "e473595d016024c288130e13ee4ac66e00908344e277f29234b84388753142da"
+    )
+
+
 def test_default_generator_resolution():
     assert default_generator(bool).generate(2) == [False, True]
     assert default_generator(int).generate(3) == [0, 1, -1]

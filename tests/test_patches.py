@@ -411,9 +411,13 @@ def test_every_rendered_word_parses_back():
 
 
 def test_parse_rejects_garbage():
-    # positions are ASCII digits: `int` reads any Unicode decimal digit, so
-    # "+٣:a" would parse as "+3:a" and not render back
-    for bad in ("+:a", "1:a", "+1:", "+1:ab", "*1:a", "+-1:a", "+٣:a", "+２:a", "~-１:b", "+1٣:a", "+0:a,+٣:a"):
+    # positions are ASCII digits without a leading zero: `int` reads any
+    # Unicode decimal digit and skips leading zeros, so "+٣:a" and "+03:a"
+    # would parse as "+3:a" and not render back
+    for bad in (
+        "+:a", "1:a", "+1:", "+1:ab", "*1:a", "+-1:a", "+٣:a", "+２:a", "~-１:b", "+1٣:a", "+0:a,+٣:a",
+        "+03:a", "-00:a", "~+01:b",
+    ):
         for parse in (parse_word, parse_literal):
             try:
                 parse(bad)

@@ -418,6 +418,17 @@ def test_cli_oracle_rejects_non_ascii_positions(tmp_path, capsys):
     assert "one literal per line" in capsys.readouterr().err
 
 
+def test_cli_oracle_rejects_a_leading_zero(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("+03:a\n")
+    b.write_text("+3:a\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", str(a), str(b)])
+    assert exc.value.code == 2
+    assert "one literal per line" in capsys.readouterr().err
+
+
 def test_cli_oracle_reports_missing_file(tmp_path, capsys):
     b = tmp_path / "b.txt"
     b.write_text("+0:a\n")
