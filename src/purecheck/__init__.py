@@ -21,7 +21,6 @@ from .check import (
     TacticalError,
     Verdict,
     check,
-    check_true,
     check_with,
     conjoin,
     foreach,
@@ -61,9 +60,9 @@ from .patches import (
     render_edit,
     render_literal,
     render_word,
+    splice,
     string_delete,
     string_insert,
-    to_list,
     undo,
     words,
 )
@@ -83,10 +82,7 @@ from .editor import (
     adequacy_suite,
     cons_eq,
     editor_action,
-    editor_delete,
-    editor_insert,
     editors,
-    ins,
     is_normal,
     is_total,
     reify,

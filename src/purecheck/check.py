@@ -135,11 +135,6 @@ class Check:
         return conjoin(self, other)
 
 
-def check_true() -> Check:
-    """The unit of the conjunctive structure: holds at every confidence."""
-    return conjoin()
-
-
 class _Clauses(tuple):
     """The flat clause tuple of a conjunction, performed as one loop."""
 
@@ -158,7 +153,8 @@ def conjoin(*checks: Check) -> Check:
     verdict, so reports are deterministic.  Conjunctions among the
     arguments are spliced in flat, so however a conjunction was built
     its evaluation does not nest: stack depth stays constant in the
-    number of clauses.  ``conjoin()`` holds.
+    number of clauses.  ``conjoin()``, the unit of the conjunction, holds
+    at every confidence.
     """
     clauses: list = []
     for c in checks:
@@ -251,7 +247,8 @@ def check(p: Meta) -> Check:
       (the empty collection holds);
     * :class:`For` — bounded universal quantification over its generator;
     * a callable — universal quantification over the default generator of
-      the first parameter's annotated type.
+      the first parameter's annotated type; that parameter must be
+      positional, and every other one needs a default or be variadic.
 
     Anything else cannot be stated as a proposition and yields a
     ``TacticalError`` when performed.
@@ -296,11 +293,18 @@ def _domain_of(fn: Callable) -> Generator:
     params = list(sig.parameters.values())
     if not params:
         raise ValueError("predicate takes no argument")
+    first, *rest = params
+    if first.kind not in (first.POSITIONAL_ONLY, first.POSITIONAL_OR_KEYWORD):
+        kind = first.kind.description
+        raise ValueError(f"first parameter {first.name!r} is {kind}, not positional")
+    for p in rest:
+        if p.default is p.empty and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD):
+            raise ValueError(f"parameter {p.name!r} has no default; only the first parameter is sampled")
     try:
         hints = typing.get_type_hints(fn)
     except Exception:  # noqa: BLE001 — unresolvable forward references etc.
         hints = {}
-    ann = hints.get(params[0].name, params[0].annotation)
+    ann = hints.get(first.name, first.annotation)
     if ann is inspect.Parameter.empty:
         raise ValueError("first parameter lacks a type annotation")
     return default_generator(ann)

@@ -31,8 +31,8 @@ encoding is canonical too: no empty prefix separates two runs, which are
 merged instead.  So structural equality of the tuples is equality of the
 nested chains.
 
-Single edits splice into automata (:func:`editor_insert` /
-:func:`editor_delete`), and folding a whole word of edits over the
+Single edits splice into automata through one call,
+``splice(a, insert, i, c)``, and folding a whole word of edits over the
 identity automaton, in place on one pair of lists, gives its
 :func:`semantics`.  Two words denote the same partial string function
 exactly when their automata are structurally equal — which turns an
@@ -157,21 +157,6 @@ Editor = Union[Try, Fail]
 DONE = Ins("", Return())
 
 
-def ins(prefix: str, next: Consumption) -> Ins:
-    """Insertion constructor that restores the normal form at its root.
-
-    An insertion sitting directly behind a deletion is hoisted in front
-    of it — the two automata are operationally indistinguishable, and the
-    normal form keeps only the hoisted one.
-    """
-    a = Ins(prefix, next)
-    if not a.steps:
-        return a
-    ps, ss = list(a.prefixes), list(a.steps)
-    _hoist(ps, ss, 1)
-    return Ins._of(ps, ss)
-
-
 def is_normal(a: Union[Editor, Ins]) -> bool:
     """Structural scan for both invariants: no insertion after a deletion,
     and no empty prefix between two runs."""
@@ -293,26 +278,16 @@ def _edit(ps: List[str], ss: List[Step], insert: bool, i: int, c: str) -> bool:
 
 @splice.register
 def _splice(a: Ins, insert: bool, i: int, c: str) -> Optional[Ins]:
-    ps, ss = list(a.prefixes), list(a.steps)
-    return Ins._of(ps, ss) if _edit(ps, ss, insert, i, c) else None
-
-
-def editor_insert(a: Ins, i: int, c: str) -> Optional[Ins]:
-    """Splice "insert ``c`` at output position ``i``" into an automaton.
+    """Splice one edit into an automaton, as ``splice(a, insert, i, c)``:
+    insert ``c`` at output position ``i`` when ``insert``, else delete it.
 
     The result, run on any input, equals running ``a`` first and then
-    inserting into its output.  A negative position never applies.
+    editing its output, and a normal automaton splices to a normal one.
+    ``None`` when the composite is empty: a negative position, or deleting
+    a character the automaton provably never produces there.
     """
-    return _splice(a, True, i, c)
-
-
-def editor_delete(a: Ins, i: int, c: str) -> Optional[Ins]:
-    """Splice "delete ``c`` at output position ``i``" into an automaton.
-
-    ``None`` when the composite is empty: deleting a character the
-    automaton provably never produces there.
-    """
-    return _splice(a, False, i, c)
+    ps, ss = list(a.prefixes), list(a.steps)
+    return Ins._of(ps, ss) if _edit(ps, ss, insert, i, c) else None
 
 
 # ---------------------------------------------------------------------------

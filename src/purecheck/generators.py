@@ -239,19 +239,20 @@ def gtriple(g: Generator, h: Generator, k: Generator) -> Generator:
 _EXHAUSTED = object()
 
 
-def lists_of(g: Generator, max_len: int = 4) -> Generator:
-    """Short lists over ``g``: lengths 0..max_len, interleaved fairly.
+def lists_of(g: Generator) -> Generator:
+    """Short lists over ``g``: every length from 0 to 4, interleaved fairly.
 
     The length-``k`` lists are the ``k``-fold product of ``g`` with itself
     in max-index shells, the same enumerator as `gpair`, reading ``g``'s
     memo by index; one item is then taken from each live stream per round.
     A stream that runs dry is dropped from later rounds, which can only
     happen once its element universe is exhausted — so the interleaving is
-    the same at every budget.
+    the same at every budget.  The bound is fixed, so every list generator
+    over ``g``, the ``list[A]`` default included, enumerates one stream.
     """
 
     def stream() -> Iterator[list]:
-        streams = [iter([()])] + [_shells((g,) * k) for k in range(1, max_len + 1)]
+        streams = [iter([()])] + [_shells((g,) * k) for k in range(1, 5)]
         while streams:
             survivors = []
             for s in streams:

@@ -249,10 +249,6 @@ def from_list(edits: Iterable[Edit]) -> Word:
     return Word(tuple(Literal(Polarity.POSITIVE, e) for e in edits))
 
 
-def to_list(w: Word) -> list:
-    return list(w.literals)
-
-
 # ---------------------------------------------------------------------------
 # text rendering ("+2:a" inserts 'a' at 2; "-3:b" deletes 'b' at 3;
 # a "~" prefix marks a negative-polarity literal).  The argument is the one

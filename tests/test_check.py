@@ -17,9 +17,8 @@ from purecheck import (
     TacticalError,
     booleans,
     check,
-    check_true,
-    conjoin,
     check_with,
+    conjoin,
     foreach,
     from_values,
     gpair,
@@ -32,7 +31,8 @@ from purecheck.generators import Char
 
 
 def test_check_true_always_holds():
-    c = check_true()
+    # the empty conjunction is the true check, the unit of `&`
+    c = conjoin()
     assert c.perform(0) == Holds()
     assert c.perform(1000) == Holds()
 
@@ -147,7 +147,7 @@ def test_check_with_stops_at_the_first_counterexample():
 
 
 def test_conjunction_all_hold():
-    c = check_true() & check_with(booleans(), lambda b: b or not b)
+    c = conjoin() & check_with(booleans(), lambda b: b or not b)
     assert c.perform(10) == Holds()
 
 
@@ -243,6 +243,48 @@ def test_check_of_unmarked_value_is_tactical_error():
 def test_check_of_predicate_without_argument_is_tactical_error():
     v = check(Meta(lambda: True)).perform(5)
     assert v == TacticalError("cannot infer a sample domain: predicate takes no argument")
+
+
+def test_check_of_predicate_with_a_second_required_parameter_is_tactical_error():
+    # only the first parameter is sampled, so a second one without a
+    # default could never be supplied: the proposition was never stated
+    def f(x: int, y: int) -> bool:
+        return x + y == y + x
+
+    def g(x: int, *, y: int) -> bool:
+        return True
+
+    for p in (f, g):
+        assert check(Meta(p)).perform(5) == TacticalError(
+            "cannot infer a sample domain: parameter 'y' has no default; "
+            "only the first parameter is sampled"
+        )
+
+
+def test_check_of_predicate_whose_first_parameter_is_not_positional_is_tactical_error():
+    def k(*, x: int) -> bool:
+        return True
+
+    def v(*xs: int) -> bool:
+        return True
+
+    assert check(Meta(k)).perform(5) == TacticalError(
+        "cannot infer a sample domain: first parameter 'x' is keyword-only, not positional"
+    )
+    assert check(Meta(v)).perform(5) == TacticalError(
+        "cannot infer a sample domain: first parameter 'xs' is variadic positional, not positional"
+    )
+
+
+def test_check_samples_the_first_parameter_beside_defaults_and_variadics():
+    def f(x: int, y: int = 1, *rest: int, scale: int = 2, **options: int) -> bool:
+        return x + y != x
+
+    def bad(x: int, y: int = 0, *rest: int, **options: int) -> bool:
+        return x + y != x
+
+    assert check(Meta(f)).perform(100) == Holds()
+    assert check(Meta(bad)).perform(100) == Falsified("0")
 
 
 def test_check_names_an_unresolvable_annotation():
@@ -342,12 +384,12 @@ def test_dispatcher_reads_each_proposition_shape():
     assert isinstance(check(Meta([True, False, True])).perform(3), Falsified)
     assert check(Meta((True, True))).perform(3) == Holds()
 
-    assert conjoin(check_true(), check_true()).perform(5) == Holds()
+    assert conjoin(conjoin(), conjoin()).perform(5) == Holds()
     v = conjoin(check(Meta(True)), check(Meta(False))).perform(5)
     assert isinstance(v, Falsified)
     # conjoining with the unit changes nothing, verdict by verdict
     sample = check_with(integers(), lambda x: x < 3)
-    padded = conjoin(sample, check_true())
+    padded = conjoin(sample, conjoin())
     for n in range(1, 11):
         assert padded.perform(n) == sample.perform(n)
 
@@ -384,7 +426,7 @@ def test_conjoin_is_n_ary_and_flat():
 def test_deep_conjunction_does_not_recurse():
     assert check(Meta([True] * 2000)).perform(1) == Holds()
     assert isinstance(check(Meta([True] * 5000 + [False])).perform(1), Falsified)
-    chained = check_true()
+    chained = conjoin()
     for _ in range(5000):
         chained = chained & check(Meta(True))
     assert chained.perform(1) == Holds()
@@ -408,7 +450,7 @@ def test_deeply_nested_proposition_is_falsified():
 def test_confidence_indexes_the_whole_conjunction():
     # a compound property: both clauses get n samples each
     left = check_with(from_values(list(range(100))), lambda x: x < 99)
-    right = check_true()
+    right = conjoin()
     c = left & right
     assert c.perform(99) == Holds()
     assert isinstance(c.perform(100), Falsified)

@@ -40,12 +40,9 @@ from purecheck import (
     cons_eq,
     editor,
     editor_action,
-    editor_delete,
-    editor_insert,
     editors,
     exists,
     exists_or_vacuous,
-    ins,
     is_normal,
     is_total,
     parse_word,
@@ -53,6 +50,7 @@ from purecheck import (
     render,
     render_editor,
     semantics,
+    splice,
     witness_def,
     witness_def_undef,
     witness_diff,
@@ -115,29 +113,36 @@ def test_return_echoes_unread_suffix():
     assert editor_action("abc", e) == "xabc"
 
 
-# -- the smart constructor and normal forms -----------------------------------
+# -- splicing keeps the normal form --------------------------------------------
 
 
 def test_ins_of_return_is_plain():
-    assert ins("ab", Return()) == Ins("ab", Return())
+    # an automaton without steps has nothing to hoist across
+    assert splice(Ins("a", Return()), True, 1, "b") == Ins("ab", Return())
 
 
 def test_ins_hoisting_preserves_behaviour():
+    # deleting "y" at output 1 pins the Skip to Del("y") in front of "z"
     raw = Ins("x", Del("y", Ins("z", Return())))
-    fixed = ins("x", Del("y", Ins("z", Return())))
-    assert is_normal(fixed)
+    fixed = splice(Ins("x", Skip(Ins("z", Return()))), False, 1, "y")
+    assert not is_normal(raw) and is_normal(fixed)
     for s in ("", "y", "ya", "ay", "yy"):
         assert editor_action(s, raw) == editor_action(s, fixed)
 
 
 def test_ins_hoists_across_deletion():
     k = Return()
-    assert ins("x", Del("y", Ins("z", k))) == Ins("xz", Del("y", Ins("", k)))
+    got = splice(Ins("x", Skip(Ins("z", k))), False, 1, "y")
+    assert got == Ins("xz", Del("y", Ins("", k)))
 
 
 def test_ins_leaves_skip_alone():
-    node = ins("x", Skip(Ins("", Return())))
-    assert node == Ins("x", Skip(Ins("", Return())))
+    # an insertion behind a Skip stays there, and so does a prefix behind
+    # the Skip that follows a new Del
+    node = splice(Ins("x", Skip(Ins("", Return()))), True, 2, "z")
+    assert node == Ins("x", Skip(Ins("z", Return())))
+    pinned = splice(Ins("x", Skip(Ins("", Skip(Ins("z", Return()))))), False, 1, "y")
+    assert pinned == Ins("x", Del("y", Ins("", Skip(Ins("z", Return())))))
 
 
 def test_is_normal():
@@ -224,11 +229,10 @@ def test_word_equiv_agrees_with_brute_force():
 
 
 def test_a_negative_position_never_applies():
-    from purecheck.editor import editor_delete, editor_insert
     from purecheck.patches import from_list
 
-    assert editor_insert(DONE, -1, "a") is None
-    assert editor_delete(DONE, -1, "a") is None
+    assert splice(DONE, True, -1, "a") is None
+    assert splice(DONE, False, -1, "a") is None
     assert action("ab", Edit(EditOp.INSERT, -1, "a")) is None
     w = from_list([Edit(EditOp.INSERT, -1, "a")])
     assert semantics(w) == Fail()
@@ -238,36 +242,27 @@ def test_a_negative_position_never_applies():
 
 
 def test_editor_insert_at_front():
-    from purecheck.editor import editor_insert
-
-    assert editor_insert(Ins("", Return()), 0, "a") == Ins("a", Return())
+    assert splice(Ins("", Return()), True, 0, "a") == Ins("a", Return())
 
 
 def test_editor_insert_beyond_prefix():
-    from purecheck.editor import editor_insert
-
-    got = editor_insert(Ins("", Return()), 2, "a")
+    got = splice(Ins("", Return()), True, 2, "a")
     assert got == Ins("", Skip(Ins("", Skip(Ins("a", Return())))))
 
 
 def test_editor_delete_forces_mismatch_to_nothing():
-    from purecheck.editor import editor_delete
-
-    assert editor_delete(Ins("x", Return()), 0, "y") is None
-    assert editor_delete(Ins("x", Return()), 0, "x") == Ins("", Return())
+    assert splice(Ins("x", Return()), False, 0, "y") is None
+    assert splice(Ins("x", Return()), False, 0, "x") == Ins("", Return())
 
 
 def test_editor_delete_skip_becomes_del():
-    from purecheck.editor import editor_delete
-
     start = Ins("", Skip(Ins("", Return())))
-    assert editor_delete(start, 0, "c") == Ins("", Del("c", Ins("", Return())))
+    assert splice(start, False, 0, "c") == Ins("", Del("c", Ins("", Return())))
 
 
 def test_splices_agree_with_string_edits_on_enumerated_automata():
     # every splice position of the first automata, Del chains, long runs
     # and trailing runs included, against the edit applied to the output
-    from purecheck.editor import editor_delete, editor_insert
     from purecheck.patches import string_delete, string_insert
 
     inputs = all_strings(max_len=5)
@@ -278,8 +273,8 @@ def test_splices_agree_with_string_edits_on_enumerated_automata():
         outputs = [editor_action(s, a) for s in inputs]
         width = sum(map(len, a.prefixes)) + sum(c if type(c) is int else 1 for c in a.steps)
         for i, c in itertools.product(range(width + 3), "ab"):
-            for splice, edit in ((editor_insert, string_insert), (editor_delete, string_delete)):
-                got = splice(a, i, c)
+            for insert, edit in ((True, string_insert), (False, string_delete)):
+                got = splice(a, insert, i, c)
                 assert got is None or is_normal(got)
                 for s, out in zip(inputs, outputs):
                     want = None if out is None else edit(out, i, c)
@@ -709,14 +704,14 @@ def test_an_automaton_carries_the_length_of_its_pattern():
         Ins("x", Skip(Ins("", Skip(DONE)))),
         Ins("", Del("a", Ins("b", Skip(Ins("", Skip(DONE)))))),
         Ins("", Skip(Ins("y", Del("c", DONE)))),
-        ins("", Del("a", Ins("b", Del("c", Ins("d", Return()))))),
-        ins("z", Skip(Ins("", Del("a", Ins("b", Skip(DONE)))))),
+        Ins("b", Del("a", Ins("", Del("c", Ins("d", Return()))))),
+        Ins("z", Skip(Ins("", Del("a", Ins("b", Skip(DONE)))))),
     ]
     spliced = [
         r
         for a in built[:300] + spelled
         for i in range(4)
-        for r in (editor_insert(a, i, "a"), editor_delete(a, i, "a"), editor_delete(a, i, "b"))
+        for r in (splice(a, True, i, "a"), splice(a, False, i, "a"), splice(a, False, i, "b"))
         if r is not None
     ]
     assert len(spliced) > 1000

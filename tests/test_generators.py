@@ -162,7 +162,7 @@ def test_lists_short_and_varied():
     assert {0, 1, 2} <= lengths
 
 
-def _filtered_lists_of(elems, n, max_len=4):
+def _filtered_lists_of(elems, n):
     """Reference: the first ``n`` lists of `lists_of` over a finite prefix
     of its marginal, each shell found by filtering the whole index cube."""
 
@@ -175,7 +175,7 @@ def _filtered_lists_of(elems, n, max_len=4):
                 if max(idxs) == m:
                     yield tuple(elems[i] for i in idxs)
 
-    streams = [tuples_of(k) for k in range(max_len + 1)]
+    streams = [tuples_of(k) for k in range(5)]
     out = []
     while streams and len(out) < n:
         survivors = []
@@ -193,7 +193,9 @@ def _filtered_lists_of(elems, n, max_len=4):
 
 def test_lists_of_matches_the_filtered_shell_enumeration():
     assert lists_of(integers()).generate(2000) == _filtered_lists_of(integers().generate(2000), 2000)
-    assert lists_of(booleans(), 3).generate(100) == _filtered_lists_of([False, True], 100, 3)
+    # over two values the streams run dry: 1 + 2 + 4 + 8 + 16 lists in all
+    got = lists_of(booleans()).generate(100)
+    assert len(got) == 31 and got == _filtered_lists_of([False, True], 100)
     assert lists_of(from_values([])).generate(5) == [[]]
 
 

@@ -37,7 +37,6 @@ from purecheck import (
     string_delete,
     string_insert,
     strings,
-    to_list,
     undo,
     words,
 )
@@ -115,14 +114,17 @@ def test_inv_flips_polarity_on_literals():
 def test_from_list_wraps_edits_positively():
     w = from_list([Edit(EditOp.INSERT, 2, "a"), Edit(EditOp.DELETE, 3, "b")])
     assert all(l.polarity is Polarity.POSITIVE for l in w.literals)
-    assert to_list(w) == list(w.literals)
+    assert w.literals == (
+        Literal(Polarity.POSITIVE, Edit(EditOp.INSERT, 2, "a")),
+        Literal(Polarity.POSITIVE, Edit(EditOp.DELETE, 3, "b")),
+    )
     assert render(w) == "+2:a,-3:b"
 
 
 def test_inv_reverses_words():
     w = Word((lit(EditOp.INSERT, 0, "a"), lit(EditOp.DELETE, 0, "b")))
     got = inv(w)
-    assert to_list(got) == [inv(w.literals[1]), inv(w.literals[0])]
+    assert list(got.literals) == [inv(w.literals[1]), inv(w.literals[0])]
 
 
 @given(_words)

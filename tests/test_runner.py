@@ -13,8 +13,8 @@ from purecheck import (
     Suite,
     TacticalError,
     brute_force_equiv,
-    check_true,
     check_with,
+    conjoin,
     default_suite,
     exit_code,
     full_suite,
@@ -31,7 +31,7 @@ from purecheck.runner import EntryResult, verdict_name
 
 def small_suite():
     s = Suite()
-    s.register("always", check_true(), ("demo",))
+    s.register("always", conjoin(), ("demo",))
     s.register("ints.nonneg", check_with(integers(), lambda x: x >= 0), ("demo", "int"))
     return s
 
@@ -41,9 +41,9 @@ def small_suite():
 
 def test_register_rejects_duplicates():
     s = Suite()
-    s.register("x", check_true(), ())
+    s.register("x", conjoin(), ())
     with pytest.raises(ValueError):
-        s.register("x", check_true(), ())
+        s.register("x", conjoin(), ())
 
 
 def test_run_suite_verdicts():
