@@ -35,7 +35,12 @@ def _read_word(path: str) -> Word:
     # only the line break goes: "+0: " inserts a space
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
-    return Word(tuple(parse_literal(line) for line in lines if line.strip()))
+    word = Word(tuple(parse_literal(line) for line in lines if line.strip()))
+    for lit in word.literals:
+        if lit.atom.pos > sys.maxsize:
+            # no string is that long, and the automaton's text would not fit
+            raise ValueError(f"position {lit.atom.pos} is beyond the longest string, {sys.maxsize}")
+    return word
 
 
 def _view(text: str) -> str:

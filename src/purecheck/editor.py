@@ -121,9 +121,8 @@ class Ins:
     def _of(cls, prefixes: List[str], steps: List[Step]) -> "Ins":
         """The chain over the given prefixes and steps."""
         a = cls.__new__(cls)
-        object.__setattr__(a, "prefixes", tuple(prefixes))
-        object.__setattr__(a, "steps", tuple(steps))
-        object.__setattr__(a, "length", _length(steps))
+        # one write past the frozen `__setattr__`, not one call per field
+        a.__dict__.update(prefixes=tuple(prefixes), steps=tuple(steps), length=_length(steps))
         return a
 
     def __repr__(self) -> str:
@@ -266,11 +265,24 @@ def _edit(ps: List[str], ss: List[Step], insert: bool, i: int, c: str) -> bool:
                     ss[k : k + 1] = [i, n - i]
                     ps.insert(k + 1, c)
                     return True
-                # deleting the run's i-th copied character pins the input there to c
-                split = [m for m in (i, c, n - i - 1) if m]
-                ss[k : k + 1] = split
-                ps[k + 1 : k + 1] = [""] * (len(split) - 1)
-                _hoist(ps, ss, k + split.index(c) + 1)
+                # deleting the run's i-th copied character pins the input
+                # there to c: the run splits into i Skips, a Del and the
+                # n - i - 1 Skips after it, with empty prefixes between
+                r = n - i - 1
+                if i:
+                    if r:
+                        ss[k : k + 1] = (i, c, r)
+                        ps[k + 1 : k + 1] = ("", "")
+                    else:
+                        ss[k : k + 1] = (i, c)
+                        ps.insert(k + 1, "")
+                    k += 1
+                elif r:
+                    ss[k : k + 1] = (c, r)
+                    ps.insert(k + 1, "")
+                else:
+                    ss[k] = c
+                _hoist(ps, ss, k + 1)  # the prefix after the Del
                 return True
             i -= n
         k += 1
@@ -284,8 +296,11 @@ def _splice(a: Ins, insert: bool, i: int, c: str) -> Optional[Ins]:
     The result, run on any input, equals running ``a`` first and then
     editing its output, and a normal automaton splices to a normal one.
     ``None`` when the composite is empty: a negative position, or deleting
-    a character the automaton provably never produces there.
+    a character the automaton provably never produces there.  A ``c``
+    that is not one character raises ``ValueError``, as `Edit` does.
     """
+    if not isinstance(c, str) or len(c) != 1:
+        raise ValueError(f"an edit's argument is one character, not {c!r}")
     ps, ss = list(a.prefixes), list(a.steps)
     return Ins._of(ps, ss) if _edit(ps, ss, insert, i, c) else None
 

@@ -96,9 +96,21 @@ class Word:
         object.__setattr__(self, "literals", tuple(self.literals))
 
     def __hash__(self) -> int:
+        # one flat tuple: a literal over an edit contributes its four fields,
+        # not its own and its edit's generated hashes, two frames per literal;
+        # any other entry hashes as itself
         h = self._hash
         if h is None:
-            h = hash((self.literals,))
+            h = hash(
+                tuple(
+                    [
+                        (lit.polarity, e.op, e.pos, e.arg)
+                        if type(lit) is Literal and type(e := lit.atom) is Edit
+                        else lit
+                        for lit in self.literals
+                    ]
+                )
+            )
             object.__setattr__(self, "_hash", h)
         return h
 

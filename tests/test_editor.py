@@ -281,6 +281,66 @@ def test_splices_agree_with_string_edits_on_enumerated_automata():
                     assert (None if got is None else editor_action(s, got)) == want, (x, i, c, s)
 
 
+def test_splice_on_an_automaton_takes_one_character():
+    # a longer argument built a `Del 'ab'` step whose definedness witness
+    # the automaton rejects, and an empty one raised from deep in the split
+    a = Ins._of(["", ""], [3])
+    for insert, c in itertools.product((True, False), ("ab", "", None)):
+        with pytest.raises(ValueError, match="an edit's argument is one character"):
+            splice(a, insert, 1, c)
+    assert splice(a, False, 1, "b") == Ins._of(["", "", "", ""], [1, "b", 1])
+
+
+def _reference_run_delete(ps, ss, k, i, c):
+    """Delete ``c`` at the ``i``-th copied character of the run at step
+    ``k``, as the run split was first written: a list of the nonzero parts."""
+    n = ss[k]
+    split = [m for m in (i, c, n - i - 1) if m]
+    ss[k : k + 1] = split
+    ps[k + 1 : k + 1] = [""] * (len(split) - 1)
+    editor._hoist(ps, ss, k + split.index(c) + 1)
+
+
+def test_a_run_splits_as_the_reference_does():
+    # every copied character of every run, in enumerated automata and in
+    # ones whose run is followed by a nonempty prefix behind Dels, so that
+    # `_hoist` moves text across the new Del and the ones before it
+    chains = [(x.insertion.prefixes, x.insertion.steps) for x in editors.generate(3000) if x != Fail()]
+    chains += [
+        (("p", "", "q"), ("a", 2)),
+        (("", "", "", "xy"), ("a", "b", 1)),
+        (("z", "", "w", ""), ("c", 4, 3)),
+        (("", "r", "", "s"), (5, "a", 2)),
+    ]
+    cases = hoisted = 0
+    for prefixes, steps in chains:
+        out = 0  # output characters before prefix k
+        for k, n in enumerate(steps):
+            out += len(prefixes[k])
+            if type(n) is int:
+                for i, c in itertools.product(range(n), "ab" + prefixes[k + 1][:1]):
+                    want = (list(prefixes), list(steps))
+                    _reference_run_delete(*want, k, i, c)
+                    got = (list(prefixes), list(steps))
+                    assert editor._edit(*got, False, out + i, c)
+                    assert got == want, (prefixes, steps, i, c)
+                    assert is_normal(Ins._of(*got))
+                    cases += 1
+                    hoisted += i == n - 1 and prefixes[k + 1] != ""
+            out += n if type(n) is int else 0  # a Del emits nothing
+    assert cases > 1000 and hoisted > 100
+
+
+def test_an_automaton_from_its_lists_stays_frozen():
+    from dataclasses import FrozenInstanceError
+
+    a = Ins._of(["x", ""], [2])
+    with pytest.raises(FrozenInstanceError):
+        a.prefixes = ("y", "")
+    assert vars(a) == {"prefixes": ("x", ""), "steps": (2,), "length": 2}
+    assert a == Ins("x", Skip(Ins("", Skip(DONE)))) and hash(a) == hash(Ins("x", Skip(Ins("", Skip(DONE)))))
+
+
 # -- totality and the defined/undefined boundary --------------------------------
 
 

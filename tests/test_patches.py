@@ -2,6 +2,7 @@
 on ordinary strings.
 """
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -446,6 +447,59 @@ def test_a_word_hashes_its_literals_once():
     w = Word((Literal(Polarity.POSITIVE, atom),))
     assert hash(w) == hash(w)
     assert atom.calls == 1
+
+
+@dataclass(frozen=True)
+class _Foreign:
+    """A hashable atom of no patch kind `patches` knows."""
+
+    name: str
+
+
+def _stream_like_words(rng, n):
+    """Words like the benchmark's stream: 8–32 literals of either polarity
+    at positions up to 200, parsed from text."""
+    out = []
+    for _ in range(n):
+        parts = [
+            f"{rng.choice(['', '~'])}{rng.choice('+-')}{rng.randint(0, 200)}:{rng.choice('abcxyz')}"
+            for _ in range(rng.randint(8, 32))
+        ]
+        out.append(parse_word(",".join(parts)))
+    return out
+
+
+def _respelled(w):
+    """``w`` built again every way its entries allow, from fresh objects."""
+    flat = all(type(x) is Literal and type(x.atom) is Edit for x in w.literals)
+    fresh = tuple(
+        Literal(x.polarity, Edit(x.atom.op, x.atom.pos, x.atom.arg)) if flat else x for x in w.literals
+    )
+    out = [Word(fresh), Word(tuple(w.literals)), pickle.loads(pickle.dumps(w))]
+    if flat:
+        out.append(parse_word(render_word(w)))
+        if all(x.polarity is Polarity.POSITIVE for x in w.literals):
+            out.append(from_list(x.atom for x in w.literals))
+    return out
+
+
+def test_a_word_hashes_as_it_compares_in_every_spelling():
+    a, b = Edit(EditOp.INSERT, 2, "a"), Edit(EditOp.DELETE, 0, "b")
+    mixed = [
+        Word((a,)),
+        Word((lit(EditOp.INSERT, 0, "x"), b, a)),
+        Word((Word((Literal(Polarity.NEGATIVE, a),)),)),
+        Word((Literal(Polarity.POSITIVE, Word((Literal(Polarity.POSITIVE, b),))), a)),
+        Word((Literal(Polarity.NEGATIVE, _Foreign("f")), lit(EditOp.DELETE, 3, "c"))),
+        Word((_Foreign("g"),)),
+    ]
+    ws = [*words.generate(3000), *_stream_like_words(random.Random(5), 500), *mixed]
+    for w in ws:
+        for other in _respelled(w):
+            assert other == w and hash(other) == hash(w), render_word(w)
+    # the flat hash still tells apart what compares different
+    assert len(set(ws)) == len(set(map(repr, ws))) > 3000
+    assert Word((a,)) != Word((Literal(Polarity.POSITIVE, a),))
 
 
 def _in_python(code, seed, stdin=b""):

@@ -429,6 +429,21 @@ def test_cli_oracle_rejects_a_leading_zero(tmp_path, capsys):
     assert "one literal per line" in capsys.readouterr().err
 
 
+def test_cli_oracle_rejects_a_position_no_string_reaches(tmp_path, capsys):
+    # a position past `sys.maxsize` overflowed while the automaton was
+    # rendered, a traceback under exit code 1, the code for "words differ"
+    far = "100000000000000000000"
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text(f"+0:b\n+{far}:a\n")
+    b.write_text("+0:a\n")
+    for files in ([a, b], [b, a]):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", *map(str, files)])
+        assert exc.value.code == 2
+        assert far in capsys.readouterr().err
+
+
 def test_cli_oracle_reports_missing_file(tmp_path, capsys):
     b = tmp_path / "b.txt"
     b.write_text("+0:a\n")
