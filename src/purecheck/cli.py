@@ -38,7 +38,7 @@ def _read_word(path: str) -> Word:
     word = Word(tuple(parse_literal(line) for line in lines if line.strip()))
     for lit in word.literals:
         if lit.atom.pos > sys.maxsize:
-            # no string is that long, and the automaton's text would not fit
+            # no string is that long
             raise ValueError(f"position {lit.atom.pos} is beyond the longest string, {sys.maxsize}")
     return word
 
@@ -46,7 +46,8 @@ def _read_word(path: str) -> Word:
 def _view(text: str) -> str:
     """``text`` itself, or, past 200 characters, its first and last 98 around
     ``...`` and its length: a word file can name positions in the millions,
-    and its automaton, witness and outputs grow with them."""
+    and the witness and outputs grow with them, while a word and its
+    automaton grow only with the number of literals."""
     if len(text) <= 200:
         return text
     return f"{text[:98]}...{text[-98:]} ({len(text)} characters)"
@@ -145,7 +146,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not by_model:
         # the small universe may be too small to separate the words, so a
         # "different" stands on a witness input that really separates them
-        witness = editor.witness_diff(x, y)
+        try:
+            witness = editor.witness_diff(x, y)
+        except (MemoryError, OverflowError):
+            # a separating input is accepted by one of the two automata, so
+            # it is as long as that one's pattern
+            lengths = sorted({a.insertion.length for a in (x, y) if isinstance(a, editor.Try)})
+            _print(f"witness too long to build ({' or '.join(map(str, lengths))} characters)")
+            return 2
         if witness is not None:
             outs = [action(witness, w) for w in (left, right)]
             if outs[0] != outs[1]:

@@ -90,16 +90,17 @@ def _length(steps: Sequence[Step]) -> int:
     return sum([1 if type(c) is str else c for c in steps])
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False)
 class Ins:
     """An insertion chain: ``prefixes[k]`` is emitted before ``steps[k]``,
     and the last prefix before the rest of the input is echoed.  ``length``
     is the number of input characters the steps consume, the length of the
-    pattern; it is fixed by ``steps``, so it takes no part in equality."""
+    pattern; it is fixed by ``steps``, so it takes no part in equality or
+    in the text of `repr`."""
 
     prefixes: Tuple[str, ...]
     steps: Tuple[Step, ...]
-    length: int = field(compare=False)
+    length: int = field(compare=False, repr=False)
 
     def __init__(self, prefix: str, next: Consumption) -> None:
         if isinstance(next, Return):
@@ -124,20 +125,6 @@ class Ins:
         # one write past the frozen `__setattr__`, not one call per field
         a.__dict__.update(prefixes=tuple(prefixes), steps=tuple(steps), length=_length(steps))
         return a
-
-    def __repr__(self) -> str:
-        """The text the nested dataclasses would give."""
-        opened = "".join(
-            f"Ins(prefix={p!r}, next="
-            + (
-                f"Del(char={c!r}, next="
-                if type(c) is str
-                else "Skip(next=Ins(prefix='', next=" * (c - 1) + "Skip(next="
-            )
-            for p, c in zip(self.prefixes, self.steps)
-        )
-        last = f"Ins(prefix={self.prefixes[-1]!r}, next=Return())"
-        return opened + last + "))" * self.length
 
 
 @dataclass(frozen=True)
@@ -483,8 +470,13 @@ def witness_diff(x: Editor, y: Editor) -> Optional[str]:
     used = {*"".join(a.prefixes + b.prefixes), *(c for c in a.steps if type(c) is str)}
     beyond_ascii = filter(str.isprintable, map(chr, range(0x80, 0x110000)))
     fresh = (ch for ch in itertools.chain(generators.CHARACTER_ORDER, beyond_ascii) if ch not in used)
-    pool = itertools.cycle(fresh)
-    probe = "".join([c if type(c) is str else "".join(itertools.islice(pool, c)) for c in a.steps])
+    # the Skips read the fresh characters cycled: the first n of them,
+    # repeated to n characters, and each run slices its share of that
+    n = sum([c for c in a.steps if type(c) is int])
+    head = "".join(itertools.islice(fresh, n))
+    filler = head * -(-n // len(head)) if n else ""
+    ends = itertools.accumulate([0 if type(c) is str else c for c in a.steps])
+    probe = "".join([c if type(c) is str else filler[j - c : j] for c, j in zip(a.steps, ends)])
     if editor_action(probe, x) != editor_action(probe, y):
         return probe
     return None
@@ -554,16 +546,17 @@ def cons_eq(x: Editor, y: Editor) -> Meta:
 @render.register(Fail)
 @render.register(Ins)
 def render_editor(a: Union[Editor, Ins]) -> str:
-    """Stable text form, e.g. ``Try[Ins "ab"; Skip; Ins ""; Return]``.
+    """Stable text form, e.g. ``Try[Ins "ab"; Skip*2; Ins "c"; Skip; Ins ""; Return]``.
 
-    Every node is shown, including empty insertions; it is also how
-    counterexample reports `render` automata.
+    Every insertion is shown, empty ones included, except the empty ones
+    inside a run of ``n >= 2`` Skips, which is written once as ``Skip*n``;
+    it is also how counterexample reports `render` automata.
     """
     if isinstance(a, Fail):
         return "Fail"
     node = a.insertion if isinstance(a, Try) else a
     parts = [
-        f'Ins "{p}"; ' + (f"Del '{c}'" if type(c) is str else "Skip" + '; Ins ""; Skip' * (c - 1))
+        f'Ins "{p}"; ' + (f"Del '{c}'" if type(c) is str else "Skip" if c == 1 else f"Skip*{c}")
         for p, c in zip(node.prefixes, node.steps)
     ]
     body = "; ".join([*parts, f'Ins "{node.prefixes[-1]}"; Return'])

@@ -452,10 +452,11 @@ def test_witness_diff_exhaustive_small():
 def test_render_editor():
     assert render(Fail()) == "Fail"
     assert render(DONE) == 'Ins ""; Return'
-    assert (
-        render(semantics(LEFT))
-        == 'Try[Ins ""; Skip; Ins ""; Skip; Ins "a"; Del \'b\'; Ins ""; Return]'
-    )
+    assert render(semantics(LEFT)) == 'Try[Ins ""; Skip*2; Ins "a"; Del \'b\'; Ins ""; Return]'
+    # a run of one stays one Skip, and a run is written once however long
+    assert render(Ins("x", Skip(Ins("y", Skip(DONE))))) == 'Ins "x"; Skip; Ins "y"; Skip; Ins ""; Return'
+    far = semantics(parse_word("+1000000000000000000:a"))
+    assert render(far) == 'Try[Ins ""; Skip*1000000000000000000; Ins "a"; Return]'
 
 
 # -- generated editors -------------------------------------------------------------
@@ -586,13 +587,12 @@ def test_semantics_cache_is_bounded():
 
 
 def test_repr_of_deep_automata():
-    # the generated repr recursed once per position
-    e = semantics(parse_word("+400:a"))
-    assert repr(e).startswith("Try(insertion=Ins(prefix='', next=Skip(next=Ins(")
-    assert repr(e).count("Skip(next=") == 400
+    # the repr is as long as the steps, not as the positions they reach
+    assert repr(semantics(parse_word("+400:a"))) == "Try(insertion=Ins(prefixes=('', 'a'), steps=(400,)))"
+    far = semantics(parse_word("+1000000000000000000:a"))
+    assert repr(far) == "Try(insertion=Ins(prefixes=('', 'a'), steps=(1000000000000000000,)))"
     assert repr(Try(Ins("x", Del("a", Ins("", Skip(DONE)))))) == (
-        "Try(insertion=Ins(prefix='x', next=Del(char='a', next=Ins(prefix='', "
-        "next=Skip(next=Ins(prefix='', next=Return()))))))"
+        "Try(insertion=Ins(prefixes=('x', '', ''), steps=('a', 1)))"
     )
 
 
@@ -696,7 +696,7 @@ def test_normal_forms_of_long_words_are_pinned():
     ws = [_clustered_word(rng) for _ in range(3000)]
     text = "\n".join(repr(semantics(w)) for w in ws)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "9da614ea2a02c1433f6471d0dab6ff574714c230f0857e23e360867df38fa81a"
+        "5b25dacbd1e1aceec309b9070c7a6fb17dd309b1e8b846a20ab2adc05eaa6dc3"
     )
 
 
@@ -738,6 +738,27 @@ def test_witnesses_of_long_runs_cost_per_step():
         tracemalloc.stop()
     assert s == "a" * 1000001
     assert peak < 3 * len(s)
+
+
+def _cycled_probe(x, y):
+    """The difference probe built one Skip at a time from the cycled
+    fresh characters: the reference for `witness_diff`'s sliced filler."""
+    a, b = x.insertion, y.insertion
+    used = {*"".join(a.prefixes + b.prefixes), *(c for c in a.steps if type(c) is str)}
+    beyond_ascii = filter(str.isprintable, map(chr, range(0x80, 0x110000)))
+    fresh = (ch for ch in itertools.chain(CHARACTER_ORDER, beyond_ascii) if ch not in used)
+    pool = itertools.cycle(fresh)
+    return "".join([c if type(c) is str else "".join(itertools.islice(pool, c)) for c in a.steps])
+
+
+def test_witness_diff_probe_matches_the_cycled_construction():
+    # 300,000 Skips outnumber the fresh characters, so the filler wraps,
+    # inside the second run of the second pair
+    for left, right in (("+300000:a", "+300000:b"), ("+300000:a,-100:c", "+300000:b,-100:c")):
+        x, y = semantics(parse_word(left)), semantics(parse_word(right))
+        s = witness_diff(x, y)
+        assert s == _cycled_probe(x, y)
+        assert editor_action(s, x) != editor_action(s, y)
 
 
 def test_fold_size_tracks_the_number_of_edits():

@@ -333,7 +333,7 @@ def test_cli_oracle_separates_past_every_code_point(tmp_path, capsys):
 
 
 def test_cli_oracle_output_is_bounded(tmp_path, capsys):
-    # automata, witness and outputs all grow with the position: 3.8 MB in full
+    # the witness and outputs grow with the position; the automata do not
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
     a.write_text("+100000:a\n")
@@ -342,8 +342,38 @@ def test_cli_oracle_output_is_bounded(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert len(out.encode("utf-8")) < 4000
-    assert "normal-form automata: different" in out and "(1400020 characters)" in out
+    assert '       Try[Ins ""; Skip*100000; Ins "a"; Return]\n' in out
+    assert "normal-form automata: different" in out and "(100004 characters)" in out
     assert "witness " in out and "DISAGREEMENT" not in out
+
+
+def test_cli_oracle_far_position_against_a_near_one(tmp_path, capsys):
+    # the automaton of a position near sys.maxsize prints in full, and the
+    # empty input separates the words
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("+1000000000000000000:a\n")
+    b.write_text("+0:a\n")
+    code = main(["oracle", str(a), str(b)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert '       Try[Ins ""; Skip*1000000000000000000; Ins "a"; Return]\n' in out
+    assert "witness '': left gives undefined, right gives 'a'" in out
+
+
+def test_cli_oracle_witness_too_long_to_build(tmp_path, capsys):
+    # only an input of 10**18 characters separates these words: no string
+    # that long fits in memory, and that is a usage error, like a position
+    # past sys.maxsize
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("+1000000000000000000:a\n")
+    b.write_text("+1000000000000000000:b\n")
+    code = main(["oracle", str(a), str(b)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.splitlines()[-1] == "witness too long to build (1000000000000000000 characters)"
+    assert "DISAGREEMENT" not in out
 
 
 @pytest.mark.parametrize(
