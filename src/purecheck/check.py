@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import itertools
 import typing
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
@@ -174,26 +173,34 @@ def check_with(g: Generator, p: Union[Meta, Callable]) -> Check:
     evidence" is not a failure.
     """
     fn = p.reflect if isinstance(p, Meta) else p
+    # any other iterable is read as the stream of a generator
+    stream = g if isinstance(g, Generator) else Generator(lambda: g)
 
     def perform(n: int) -> Verdict:
-        samples = itertools.islice(g, max(n, 0))
-        while True:
-            try:
-                x = next(samples)
-            except StopIteration:
-                return Holds()
-            except Exception as e:  # noqa: BLE001 — sampling failure is a verdict, not a crash
-                return TacticalError(f"sample enumeration failed: {e!r}")
+        # read the memo by index, pulling one sample only at its frontier
+        memo = stream._upto(0)
+        i = 0
+        while i < n:
+            if i == len(memo):
+                try:
+                    if not stream._pull():
+                        break
+                except Exception as e:  # noqa: BLE001 — sampling failure is a verdict, not a crash
+                    return TacticalError(f"sample enumeration failed: {e!r}")
+            x = memo[i]
+            i += 1
             try:
                 result = fn(x)
             except Exception as e:  # noqa: BLE001
                 return LogicalError(f"body raised on {render(x)}: {e!r}")
-            if not isinstance(result, bool):
-                return LogicalError(
-                    f"body returned {type(result).__name__}, not bool, on {render(x)}"
-                )
-            if not result:
+            if result is True:
+                continue
+            if result is False:
                 return Falsified(_clip(render(x)))
+            return LogicalError(
+                f"body returned {type(result).__name__}, not bool, on {render(x)}"
+            )
+        return Holds()
 
     return Check(perform)
 

@@ -147,7 +147,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the small universe may be too small to separate the words, so a
         # "different" stands on a witness input that really separates them
         try:
-            witness = editor.witness_diff(x, y)
+            try:
+                witness = editor.witness_diff(x, y)
+            except (MemoryError, OverflowError):
+                # the other order may find a short witness in the other pattern
+                witness = editor.witness_diff(y, x)
         except (MemoryError, OverflowError):
             # a separating input is accepted by one of the two automata, so
             # it is as long as that one's pattern

@@ -1,11 +1,11 @@
 """Deterministic, size-bounded sample enumeration.
 
 A :class:`Generator` is a memoised, restartable stream of samples, built
-from a factory of iterators.  One method extends the memo from one live
-iterator; iterating replays the memo and extends it at its frontier, so
-each sample is enumerated at most once per generator per process, and
-``generate(n)`` is the memo's first ``n`` samples.  Every generator
-exported here upholds four guarantees:
+from a factory of iterators.  One method, ``_pull``, appends one sample
+to the memo from one live iterator; iterating replays the memo and pulls
+at its frontier, so each sample is enumerated at most once per generator
+per process, and ``generate(n)`` is the memo's first ``n`` samples.
+Every generator exported here upholds four guarantees:
 
 * **size bound** — ``generate(n)`` has at most ``n`` elements;
 * **determinism** — two calls with the same budget return the same list;
@@ -50,7 +50,7 @@ class Generator:
 
     ``make`` is a zero-argument factory of iterables that must produce the
     same sequence every time it is called.  It is called once, lazily, and
-    again only to resume after an interruption (see ``_upto``).
+    again only to resume after an interruption (see ``_pull``).
     """
 
     def __init__(self, make: Callable[[], Iterable]):
@@ -60,37 +60,43 @@ class Generator:
         self._error: Optional[Exception] = None
         self._error_tb: Optional[TracebackType] = None
 
-    def _upto(self, n: int) -> list:
-        """Extend the memo to at least ``n`` samples and return it.
+    def _pull(self) -> bool:
+        """Append one sample to the memo; false if the stream has ended.
 
-        The memo comes back shorter only if the stream has ended.  An
-        exception raised while enumerating is stored and raised again at
+        An exception raised while enumerating is stored and raised again at
         the same index on every later pull, so a stream that failed never
         looks shorter than it is.  An interrupt (``KeyboardInterrupt`` and
         the like) is not stored: the next pull resumes after the memo.
         """
+        if self._error is not None:
+            # the original traceback, so that re-raising does not grow it
+            raise self._error.with_traceback(self._error_tb)
+        try:
+            self._memo.append(next(self._live))
+        except StopIteration:
+            return False
+        except Exception as e:
+            self._error, self._error_tb = e, e.__traceback__
+            raise
+        except BaseException:
+            self._live = _resume(self._make, len(self._memo))
+            raise
+        return True
+
+    def _upto(self, n: int) -> list:
+        """Extend the memo to at least ``n`` samples, one `_pull` at a
+        time, and return it; it comes back shorter only if the stream has
+        ended."""
         memo = self._memo
-        while len(memo) < n:
-            if self._error is not None:
-                # the original traceback, so that re-raising does not grow it
-                raise self._error.with_traceback(self._error_tb)
-            try:
-                memo.append(next(self._live))
-            except StopIteration:
-                break
-            except Exception as e:
-                self._error, self._error_tb = e, e.__traceback__
-                raise
-            except BaseException:
-                self._live = _resume(self._make, len(memo))
-                raise
+        while len(memo) < n and self._pull():
+            pass
         return memo
 
     def __iter__(self) -> Iterator:
-        """Replay the memo, extending it only at its frontier."""
+        """Replay the memo, pulling one sample at a time at its frontier."""
         memo = self._memo
         i = 0
-        while i < len(memo) or i < len(self._upto(i + 1)):
+        while i < len(memo) or self._pull():
             yield memo[i]
             i += 1
 

@@ -146,6 +146,77 @@ def test_check_with_stops_at_the_first_counterexample():
     assert pulls == [0, 1, 2]
 
 
+def test_performs_share_one_enumeration_with_generate():
+    pulls = []
+
+    def make():
+        for x in itertools.count():
+            pulls.append(x)
+            yield x
+
+    g = Generator(make)
+    c = check_with(g, lambda x: True)
+    assert c.perform(5) == Holds()
+    assert c.perform(5) == Holds()
+    assert pulls == [0, 1, 2, 3, 4]
+    assert g.generate(5) == [0, 1, 2, 3, 4]
+    assert g.generate(7) == list(range(7))
+    assert c.perform(8) == Holds()
+    assert pulls == list(range(8))
+
+
+def test_a_body_that_extends_its_own_generator_sees_the_generate_order():
+    g = integers()
+    seen = []
+
+    def body(x):
+        seen.append(x)
+        g.generate(len(seen) + 10)
+        return True
+
+    assert check_with(g, body).perform(30) == Holds()
+    assert seen == integers().generate(30)
+
+
+def test_an_interrupt_in_perform_propagates_and_the_next_perform_resumes():
+    interrupted = []
+
+    def make():
+        for x in itertools.count():
+            if x == 3 and not interrupted:
+                interrupted.append(x)
+                raise KeyboardInterrupt
+            yield x
+
+    g = Generator(make)
+    seen = []
+
+    def body(x):
+        seen.append(x)
+        return x != 4
+
+    c = check_with(g, body)
+    with pytest.raises(KeyboardInterrupt):
+        c.perform(10)
+    assert seen == [0, 1, 2]
+    assert c.perform(10) == Falsified("4")
+    assert seen == [0, 1, 2, 0, 1, 2, 3, 4]
+    assert g.generate(5) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("value, name", [(1, "int"), (0, "int"), (None, "NoneType")])
+def test_a_non_bool_body_keeps_its_logical_error_text(value, name):
+    c = check_with(integers(), lambda x: value if x == -1 else True)
+    assert c.perform(5) == LogicalError(f"body returned {name}, not bool, on -1")
+
+
+def test_an_iterable_bound_is_read_as_a_stream():
+    assert check(Meta(For([1, 2, 3], lambda x: x > 1))).perform(5) == Falsified("1")
+    c = check_with(range(4), lambda x: x < 3)
+    assert c.perform(3) == Holds()
+    assert c.perform(9) == Falsified("3")
+
+
 def test_conjunction_all_hold():
     c = conjoin() & check_with(booleans(), lambda b: b or not b)
     assert c.perform(10) == Holds()

@@ -376,6 +376,24 @@ def test_cli_oracle_witness_too_long_to_build(tmp_path, capsys):
     assert "DISAGREEMENT" not in out
 
 
+@pytest.mark.parametrize("order", [("huge", "del"), ("del", "huge")])
+def test_cli_oracle_witness_does_not_depend_on_the_order(tmp_path, capsys, order):
+    # the input 'c' separates the words whichever file comes first, though
+    # the left-to-right witness of the huge word is too long to build
+    words = {"huge": "+1000000000000000000:a\n", "del": "-0:c\n"}
+    outs = {"huge": "undefined", "del": "''"}
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text(words[order[0]])
+    b.write_text(words[order[1]])
+    code = main(["oracle", str(a), str(b)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        f"witness 'c': left gives {outs[order[0]]}, right gives {outs[order[1]]}"
+    )
+
+
 @pytest.mark.parametrize(
     "broken, fake",
     [
