@@ -89,6 +89,17 @@ def _clip(text: str) -> str:
     return text if len(text) <= 200 else text[:197] + "..."
 
 
+def _shown(x: Any) -> str:
+    """A sample's clipped rendering in a verdict.  A sample whose rendering
+    raises is shown by a fixed text, so the verdict stays the one the body
+    earned."""
+    try:
+        text = render(x)
+    except Exception as e:  # noqa: BLE001 — the sample's own failure, not the check's
+        text = f"<unrenderable {type(x).__name__}: {e!r}>"
+    return _clip(text)
+
+
 # ---------------------------------------------------------------------------
 # marking
 
@@ -192,13 +203,13 @@ def check_with(g: Generator, p: Union[Meta, Callable]) -> Check:
             try:
                 result = fn(x)
             except Exception as e:  # noqa: BLE001
-                return LogicalError(f"body raised on {render(x)}: {e!r}")
+                return LogicalError(f"body raised on {_shown(x)}: {e!r}")
             if result is True:
                 continue
             if result is False:
-                return Falsified(_clip(render(x)))
+                return Falsified(_shown(x))
             return LogicalError(
-                f"body returned {type(result).__name__}, not bool, on {render(x)}"
+                f"body returned {type(result).__name__}, not bool, on {_shown(x)}"
             )
         return Holds()
 

@@ -161,12 +161,15 @@ def is_normal(a: Union[Editor, Ins]) -> bool:
 
 def editor_action(s: str, a: Union[Editor, Ins]) -> Optional[str]:
     """Apply an automaton to an input string; ``None`` when it rejects."""
-    if isinstance(a, Fail):
-        return None
-    if isinstance(a, Try):
+    # the exact type first: a `Try` is what the suite samples
+    if type(a) is Try or isinstance(a, Try):
         a = a.insertion
+    elif isinstance(a, Fail):
+        return None
     elif not isinstance(a, Ins):
         raise TypeError(f"not an automaton: {type(a).__name__}")
+    if not a.steps:  # a total automaton: its prefix, then the input
+        return a.prefixes[0] + s
     out: List[str] = []
     j = 0
     for p, c in zip(a.prefixes, a.steps):
@@ -686,7 +689,7 @@ def adequacy_suite() -> List[Tuple[str, Check]]:
     abstract = For(pairs_g, lambda xy: cons_eq(xy[0], xy[1]).reflect)
     def_sc = For(
         editors,
-        lambda x: x == Fail() or exists(Def(x), lambda s: editor_action(s, x) is not None),
+        lambda x: isinstance(x, Fail) or exists(Def(x), lambda s: editor_action(s, x) is not None),
     )
     undef_sc = For(
         editors,

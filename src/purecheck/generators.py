@@ -4,7 +4,10 @@ A :class:`Generator` is a memoised, restartable stream of samples, built
 from a factory of iterators.  One method, ``_pull``, appends one sample
 to the memo from one live iterator; iterating replays the memo and pulls
 at its frontier, so each sample is enumerated at most once per generator
-per process, and ``generate(n)`` is the memo's first ``n`` samples.
+per process, and ``generate(n)`` is the memo's first ``n`` samples.  The
+factory is called on the first pull, which installs its iterator as the
+live one, so every later pull is one ``next`` on the factory's own
+iterator.
 Every generator exported here upholds four guarantees:
 
 * **size bound** — ``generate(n)`` has at most ``n`` elements;
@@ -28,7 +31,9 @@ product growing at the same rate, which is what makes multi-argument
 properties worth testing at small budgets, and it means a product pulls
 only ~sqrt(n) samples from each marginal.  One enumerator, `_shells`,
 serves both `gpair` and the fixed-length streams of `lists_of`; it reads
-each marginal by index from the marginal's own memo.
+each marginal by index from the marginal's own memo.  A shell is a few
+blocks of column slices (`_shell`), and each block's tuples come from
+``itertools.product``, not from Python code per tuple.
 """
 
 from __future__ import annotations
@@ -41,16 +46,24 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 
 def _resume(make: Callable[[], Iterable], start: int) -> Iterator:
-    # A generator, so that ``make`` is first called on the first pull.
-    yield from itertools.islice(make(), start, None)
+    """The trampoline that starts or resumes a stream: a generator, so that
+    ``make`` is first called on the first pull, which yields no sample but
+    returns the factory's own iterator advanced past ``start`` samples
+    (the value of its ``StopIteration``), for `Generator._pull` to install
+    as the live iterator."""
+    live = iter(make())
+    next(itertools.islice(live, start, start), None)
+    return live
+    yield  # never reached: it makes this function a generator
 
 
 class Generator:
     """A deterministic enumerator: a memoised stream over ``make()``.
 
     ``make`` is a zero-argument factory of iterables that must produce the
-    same sequence every time it is called.  It is called once, lazily, and
-    again only to resume after an interruption (see ``_pull``).
+    same sequence every time it is called.  It is called once, on the
+    first pull, and again only to resume after an interruption (see
+    ``_pull``).
     """
 
     def __init__(self, make: Callable[[], Iterable]):
@@ -66,22 +79,28 @@ class Generator:
         An exception raised while enumerating is stored and raised again at
         the same index on every later pull, so a stream that failed never
         looks shorter than it is.  An interrupt (``KeyboardInterrupt`` and
-        the like) is not stored: the next pull resumes after the memo.
+        the like) is not stored: the next pull resumes after the memo.  A
+        `_resume` trampoline that ends hands over the factory's iterator,
+        which is then pulled in its place.
         """
         if self._error is not None:
             # the original traceback, so that re-raising does not grow it
             raise self._error.with_traceback(self._error_tb)
-        try:
-            self._memo.append(next(self._live))
-        except StopIteration:
-            return False
-        except Exception as e:
-            self._error, self._error_tb = e, e.__traceback__
-            raise
-        except BaseException:
-            self._live = _resume(self._make, len(self._memo))
-            raise
-        return True
+        while True:
+            try:
+                self._memo.append(next(self._live))
+                return True
+            except StopIteration as stop:
+                if getattr(self._live, "gi_code", None) is not _resume.__code__:
+                    return False
+                # the trampoline has returned the factory's own iterator
+                self._live = stop.value
+            except Exception as e:
+                self._error, self._error_tb = e, e.__traceback__
+                raise
+            except BaseException:
+                self._live = _resume(self._make, len(self._memo))
+                raise
 
     def _upto(self, n: int) -> list:
         """Extend the memo to at least ``n`` samples, one `_pull` at a
@@ -180,20 +199,29 @@ def strings() -> Generator:
 # combinators
 
 
-def _shell(memos: tuple, m: int) -> Iterator[tuple]:
-    """The tuples over ``memos`` whose largest index is ``m``, in
-    lexicographic order of their indices (at least one column)."""
+def _shell(memos: tuple, m: int) -> list:
+    """The tuples over ``memos`` whose largest index is ``m`` (at least one
+    column), as a list of blocks: a block is a tuple of column slices, and
+    the products of the blocks, one after another, list those tuples in
+    lexicographic order of their indices.
+
+    First come the heads below ``m`` with the tails that reach ``m``: one
+    block when the tails are one block, as they are for a pair, else a
+    block per head and tail block.  Last comes the row block: head ``m``
+    with every tail whose indices are at most ``m``.
+    """
     first, rest = memos[0], memos[1:]
+    blocks = []
     if rest:
         # the tails that reach index m are the same for every head below m
-        tails = list(_shell(rest, m))
-        for x in first[:m]:
-            for tail in tails:
-                yield (x,) + tail
+        tails = _shell(rest, m)
+        if len(tails) == 1:
+            blocks.append((first[:m], *tails[0]))
+        else:
+            blocks += [((x,), *tail) for x in first[:m] for tail in tails]
     if m < len(first):
-        head = (first[m],)
-        for tail in itertools.product(*(xs[: m + 1] for xs in rest)):
-            yield head + tail
+        blocks.append(((first[m],), *(xs[: m + 1] for xs in rest)))
+    return blocks
 
 
 def _shells(cols: tuple) -> Iterator[tuple]:
@@ -209,7 +237,8 @@ def _shells(cols: tuple) -> Iterator[tuple]:
         memos = tuple(g._upto(m + 1) for g in cols)
         if not all(memos) or all(len(xs) <= m for xs in memos):
             return
-        yield from _shell(memos, m)
+        for block in _shell(memos, m):
+            yield from itertools.product(*block)
 
 
 def gpair(g: Generator, h: Generator) -> Generator:

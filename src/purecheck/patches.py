@@ -159,18 +159,14 @@ def _(x: Word) -> Word:
 
 def string_insert(s: str, i: int, c: str) -> Optional[str]:
     """Insert ``c`` before position ``i``; defined iff 0 <= i <= len(s)."""
-    if 0 <= i <= len(s):
-        return s[:i] + c + s[i:]
-    return None
+    return splice.registry[str](s, True, i, c)
 
 
 def string_delete(s: str, i: int, c: str) -> Optional[str]:
     """Delete the character at ``i``, which must be ``c``; defined iff
     0 <= i < len(s) and s[i] == c.  Requiring the expected character makes
     deletion invertible."""
-    if 0 <= i < len(s) and s[i] == c:
-        return s[:i] + s[i + 1 :]
-    return None
+    return splice.registry[str](s, False, i, c)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +193,10 @@ def splice(s: Any, insert: bool, i: int, c: str) -> Optional[Any]:
 
 @splice.register
 def _(s: str, insert: bool, i: int, c: str) -> Optional[str]:
-    return string_insert(s, i, c) if insert else string_delete(s, i, c)
+    # the one string splice: `string_insert` and `string_delete` call it
+    if insert:
+        return s[:i] + c + s[i:] if 0 <= i <= len(s) else None
+    return s[:i] + s[i + 1 :] if 0 <= i < len(s) and s[i] == c else None
 
 
 @functools.singledispatch
@@ -266,7 +265,10 @@ def from_list(edits: Iterable[Edit]) -> Word:
 # a "~" prefix marks a negative-polarity literal).  The argument is the one
 # character after ':', whatever it is, so "+0: " inserts a space and
 # "+0:," a comma.  A word joins its literals with ","; parsing also allows
-# whitespace around each ",", so every rendered word parses back.
+# whitespace around each ",", so a rendered word of literals over edits
+# parses back to an equal word.  Other entries do not: a nested word's
+# parentheses make `parse_word` raise `ValueError`, and a bare `Edit`
+# parses back as its positive literal.
 
 # A position is `0` or ASCII digits without a leading zero, as `render`
 # writes it: `int` reads "٣" as 3 (in a `str` pattern `\d` matches every

@@ -14,6 +14,7 @@ from purecheck import (
     LogicalError,
     Meta,
     NestedFor,
+    Suite,
     TacticalError,
     booleans,
     check,
@@ -25,6 +26,7 @@ from purecheck import (
     integers,
     naturals,
     qmerge,
+    run_suite,
     strings,
 )
 from purecheck.generators import Char
@@ -537,3 +539,31 @@ def test_counterexample_text_is_clipped_past_200_characters():
     assert whole == Falsified("'" + "a" * 198 + "'")
     clipped = check_with(from_values(["a" * 199]), lambda s: False).perform(1)
     assert clipped == Falsified("'" + "a" * 196 + "...")
+
+
+def test_logical_error_texts_clip_the_sample():
+    # like a counterexample, the sample in a logical error is clipped
+    raised = check_with(from_values(["a" * 5000]), lambda s: 1 / 0).perform(1)
+    assert raised == LogicalError(f"body raised on '{'a' * 196}...: ZeroDivisionError('division by zero')")
+    returned = check_with(from_values(["a" * 5000]), lambda s: 1).perform(1)
+    assert returned == LogicalError(f"body returned int, not bool, on '{'a' * 196}...")
+
+
+class _Unrenderable:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+def test_a_sample_that_cannot_be_rendered_keeps_its_verdict():
+    shown = "<unrenderable _Unrenderable: RuntimeError('no repr')>"
+    g = from_values([_Unrenderable()])
+    assert check_with(g, lambda x: False).perform(1) == Falsified(shown)
+    assert check_with(g, lambda x: 1 / 0).perform(1) == LogicalError(
+        f"body raised on {shown}: ZeroDivisionError('division by zero')"
+    )
+    assert check_with(g, lambda x: None).perform(1) == LogicalError(f"body returned NoneType, not bool, on {shown}")
+    assert check_with(g, lambda x: True).perform(1) == Holds()
+    # in a suite the falsification stays a falsification
+    suite = Suite()
+    suite.register("unrenderable", check_with(g, lambda x: False))
+    assert run_suite(suite, 1).entries[0].verdict == Falsified(shown)

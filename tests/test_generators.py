@@ -23,7 +23,7 @@ from purecheck import (
     naturals,
     strings,
 )
-from purecheck import editor, patches
+from purecheck import editor, generators, patches
 from purecheck.generators import CHARACTER_ORDER, Char
 
 
@@ -90,6 +90,71 @@ def test_gpair_balance():
         assert max(max(i, j) for i, j in pairs) <= bound
 
 
+def test_make_is_called_on_the_first_pull_and_only_once():
+    calls = []
+
+    def make():
+        calls.append(None)
+        return iter(range(3))
+
+    g = Generator(make)
+    assert calls == []
+    assert g.generate(2) == [0, 1] and len(calls) == 1
+    assert g.generate(5) == [0, 1, 2] and g.generate(5) == [0, 1, 2]
+    assert len(calls) == 1
+
+
+def test_an_empty_stream_ends_cleanly():
+    def returns_a_value():
+        # a generator's return value is not a sample, nor a stream to follow
+        return iter([1, 2])
+        yield
+
+    for make in (tuple, returns_a_value):
+        g = Generator(make)
+        assert g.generate(3) == [] and list(g) == [] and not g._pull()
+
+
+def test_a_stream_raising_on_its_first_pull_raises_again_at_index_0():
+    def make_raises():
+        raise RuntimeError("no factory")
+
+    def first_raises():
+        raise RuntimeError("no sample 0")
+        yield
+
+    for make in (make_raises, first_raises):
+        g = Generator(make)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(RuntimeError) as e:
+                g.generate(1)
+            raised.append(e.value)
+        assert raised[0] is raised[1] is raised[2] and g._memo == []
+
+
+def test_an_interrupted_first_pull_resumes_to_the_uninterrupted_memo():
+    def interrupted(before_make):
+        calls = []
+
+        def make():
+            calls.append(None)
+            if before_make and len(calls) == 1:
+                raise KeyboardInterrupt
+            for x in range(4):
+                if not before_make and len(calls) == 1:
+                    raise KeyboardInterrupt
+                yield x
+
+        return make
+
+    for before_make in (True, False):
+        g = Generator(interrupted(before_make))
+        with pytest.raises(KeyboardInterrupt):
+            g.generate(3)
+        assert g.generate(3) == [0, 1, 2] and g.generate(9) == [0, 1, 2, 3]
+
+
 def _counting(pulls):
     """A naturals-like stream that records each sample it enumerates."""
 
@@ -131,6 +196,26 @@ def test_gpair_matches_the_full_square_shell_order():
     for xs, ys in marginals:
         got = gpair(from_values(xs), from_values(ys)).generate(1000)
         assert got == (shells(xs, ys) if xs and ys else [])
+
+
+def _shell_order(lengths, n):
+    """The first ``n`` index tuples under ``lengths`` (``None`` unbounded),
+    sorted by largest index, then lexicographically."""
+    out = []
+    for m in itertools.count():
+        if len(out) >= n or 0 in lengths or all(k is not None and k <= m for k in lengths):
+            return out[:n]
+        ranges = [range(m + 1 if k is None else min(k, m + 1)) for k in lengths]
+        out += [t for t in itertools.product(*ranges) if max(t) == m]
+
+
+def test_shells_follow_max_index_then_lexicographic_order():
+    # each marginal's samples are its own indices
+    for columns in range(1, 5):
+        for lengths in itertools.product((0, 1, 2, 3, 5, None), repeat=columns):
+            cols = tuple(naturals() if k is None else from_values(range(k)) for k in lengths)
+            got = list(itertools.islice(generators._shells(cols), 60))
+            assert got == _shell_order(lengths, 60), lengths
 
 
 def test_gmap_image():

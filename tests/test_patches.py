@@ -83,6 +83,14 @@ def test_string_delete_cases():
     assert string_delete("abc", 2, "c") == "ab"
 
 
+def test_string_edits_are_the_str_splice():
+    for s in ("", "a", "ab", "abc", "aba"):
+        for i in range(-1, len(s) + 2):
+            for c in "abx":
+                assert string_insert(s, i, c) == splice(s, True, i, c)
+                assert string_delete(s, i, c) == splice(s, False, i, c)
+
+
 @given(_strings, st.integers(min_value=0, max_value=8), _chars)
 def test_insert_then_delete_round_trips(s, i, c):
     t = string_insert(s, i, c)
@@ -411,6 +419,20 @@ def test_every_rendered_word_parses_back():
     assert render_word(parse_word("+3:٣")) == "+3:٣"
     for w in words.generate(20000):
         assert parse_word(render_word(w)) == w, render_word(w)
+
+
+def test_only_words_of_literals_over_edits_parse_back():
+    e = Edit(EditOp.INSERT, 1, "a")
+    f = Edit(EditOp.DELETE, 0, "b")
+    w = Word((lit(EditOp.INSERT, 1, "a"), lit(EditOp.DELETE, 0, "b", neg=True)))
+    assert parse_word(render(w)) == w
+    # a nested word renders in parentheses, which the parser does not read
+    for nested in (Word((Literal(Polarity.NEGATIVE, from_list([e])),)), Word((e, from_list([e, f])))):
+        with pytest.raises(ValueError):
+            parse_word(render(nested))
+    # a bare edit renders as its positive literal, and parses back as one
+    bare = Word((e, f))
+    assert parse_word(render(bare)) == from_list([e, f]) != bare
 
 
 def test_parse_rejects_garbage():
