@@ -154,9 +154,10 @@ def monoid_laws(m: Monoid) -> List[Tuple[str, Check]]:
     """The three defining laws, as named checks.
 
     Associativity is quantified over one `gtriple` generator rather than
-    three nested quantifiers.  Being a pair of a pair, it gives the third
-    variable far more distinct values than the first two (over an
-    endless element stream, 55 against 7 and 8 at budget 3000).
+    three nested quantifiers.  One max-index shell product of three
+    columns, it gives every variable about as many distinct values (over
+    an endless element stream, 14, 15 and 15 at budget 3000; 31, 32 and
+    32 at 30000).
     """
     left = For(m.elements, lambda x: m.combine(m.unit, x) == x)
     right = For(m.elements, lambda x: m.combine(x, m.unit) == x)

@@ -96,7 +96,18 @@ def _shown(x: Any) -> str:
     try:
         text = render(x)
     except Exception as e:  # noqa: BLE001 — the sample's own failure, not the check's
-        text = f"<unrenderable {type(x).__name__}: {e!r}>"
+        text = f"<unrenderable {type(x).__name__}: {_raised(e)}>"
+    return _clip(text)
+
+
+def _raised(e: BaseException) -> str:
+    """An exception's clipped ``repr`` in a verdict.  An exception whose
+    ``repr`` raises is shown by a fixed text naming its type, so the
+    verdict it decides is still returned."""
+    try:
+        text = repr(e)
+    except Exception:  # noqa: BLE001 — the exception's own failure, not the check's
+        text = f"<unrepresentable {type(e).__name__}>"
     return _clip(text)
 
 
@@ -104,7 +115,7 @@ def _shown(x: Any) -> str:
 # marking
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Meta:
     """Inert marker separating meta-logical values from operational ones.
 
@@ -112,6 +123,10 @@ class Meta:
     """
 
     reflect: Any
+
+    def __init__(self, reflect: Any) -> None:
+        # one write past the frozen `__setattr__`
+        self.__dict__["reflect"] = reflect
 
 
 def foreach(f: Callable[[Any], Any]) -> Meta:
@@ -197,13 +212,13 @@ def check_with(g: Generator, p: Union[Meta, Callable]) -> Check:
                     if not stream._pull():
                         break
                 except Exception as e:  # noqa: BLE001 — sampling failure is a verdict, not a crash
-                    return TacticalError(f"sample enumeration failed: {e!r}")
+                    return TacticalError(f"sample enumeration failed: {_raised(e)}")
             x = memo[i]
             i += 1
             try:
                 result = fn(x)
             except Exception as e:  # noqa: BLE001
-                return LogicalError(f"body raised on {_shown(x)}: {e!r}")
+                return LogicalError(f"body raised on {_shown(x)}: {_raised(e)}")
             if result is True:
                 continue
             if result is False:

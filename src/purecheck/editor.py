@@ -136,6 +136,17 @@ class Fail:
 class Try:
     insertion: Ins
 
+    def __eq__(self, other: object) -> bool:
+        # the class check of the generated `__eq__`, then the fields of two
+        # `Ins` in this frame rather than in `Ins.__eq__`; the generated
+        # `__hash__`, over the `Ins` hash of the same fields, agrees with it
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.insertion, other.insertion
+        if a.__class__ is Ins is b.__class__:
+            return a.steps == b.steps and a.prefixes == b.prefixes
+        return a == b
+
 
 Editor = Union[Try, Fail]
 
@@ -485,46 +496,62 @@ def witness_diff(x: Editor, y: Editor) -> Optional[str]:
     return None
 
 
-# witness sources for the existential quantifiers
+# witness sources for the existential quantifiers; each `__init__` writes
+# the instance `__dict__` directly, past the frozen `__setattr__`, not
+# through one call of it per field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Def:
     """Claim: the automaton accepts some input."""
 
     editor: Editor
 
+    def __init__(self, editor: Editor) -> None:
+        self.__dict__["editor"] = editor
+
     def witness(self) -> Optional[str]:
         return witness_def(self.editor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Undef:
     """Claim: the automaton rejects some input."""
 
     editor: Editor
 
+    def __init__(self, editor: Editor) -> None:
+        self.__dict__["editor"] = editor
+
     def witness(self) -> Optional[str]:
         return witness_undef(self.editor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DefUndef:
     """Claim: some input is accepted by ``left`` and rejected by ``right``."""
 
     left: Editor
     right: Editor
 
+    def __init__(self, left: Editor, right: Editor) -> None:
+        fields = self.__dict__
+        fields["left"], fields["right"] = left, right
+
     def witness(self) -> Optional[str]:
         return witness_def_undef(self.left, self.right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Diff:
     """Claim: some input distinguishes the two automata."""
 
     left: Editor
     right: Editor
+
+    def __init__(self, left: Editor, right: Editor) -> None:
+        fields = self.__dict__
+        fields["left"], fields["right"] = left, right
 
     def witness(self) -> Optional[str]:
         return witness_diff(self.left, self.right)

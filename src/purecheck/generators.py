@@ -30,10 +30,14 @@ exactly ``m``, so the first ``m*m`` pairs of a product cover the full
 product growing at the same rate, which is what makes multi-argument
 properties worth testing at small budgets, and it means a product pulls
 only ~sqrt(n) samples from each marginal.  One enumerator, `_shells`,
-serves both `gpair` and the fixed-length streams of `lists_of`; it reads
-each marginal by index from the marginal's own memo.  A shell is a few
-blocks of column slices (`_shell`), and each block's tuples come from
-``itertools.product``, not from Python code per tuple.
+serves `gpair`, `gtriple` (one shell product of three columns, not a
+pair of pairs), the ``tuple[...]`` defaults of any arity and the
+fixed-length streams of `lists_of`; it reads each marginal by index from
+the marginal's own memo.  A shell is a few blocks of column slices
+(`_shell`), and a product is a C-level chain
+(``itertools.chain.from_iterable``) of each block's
+``itertools.product``: no Python frame runs per tuple, only one per
+block.
 """
 
 from __future__ import annotations
@@ -183,14 +187,12 @@ STRING_ALPHABET = "abc"
 
 
 def strings() -> Generator:
-    """All strings over STRING_ALPHABET in length-lexicographic order."""
+    """All strings over STRING_ALPHABET in length-lexicographic order,
+    joined in C from one chain of per-length products."""
 
     def stream() -> Iterator[str]:
-        length = 0
-        while True:
-            for tup in itertools.product(STRING_ALPHABET, repeat=length):
-                yield "".join(tup)
-            length += 1
+        by_length = (itertools.product(STRING_ALPHABET, repeat=n) for n in itertools.count())
+        return map("".join, itertools.chain.from_iterable(by_length))
 
     return Generator(stream)
 
@@ -233,12 +235,17 @@ def _shells(cols: tuple) -> Iterator[tuple]:
     end of a finite marginal are skipped, and the product ends when every
     marginal has run dry (at once, if any is empty).
     """
-    for m in itertools.count():
-        memos = tuple(g._upto(m + 1) for g in cols)
-        if not all(memos) or all(len(xs) <= m for xs in memos):
-            return
-        for block in _shell(memos, m):
-            yield from itertools.product(*block)
+
+    def blocks() -> Iterator[Iterator[tuple]]:
+        for m in itertools.count():
+            memos = tuple(g._upto(m + 1) for g in cols)
+            if not all(memos) or all(len(xs) <= m for xs in memos):
+                return
+            for block in _shell(memos, m):
+                yield itertools.product(*block)
+
+    # a C-level chain: no Python frame resumes per tuple, only per block
+    return itertools.chain.from_iterable(blocks())
 
 
 def gpair(g: Generator, h: Generator) -> Generator:
@@ -262,13 +269,14 @@ def gmap(f: Callable[[Any], Any], g: Generator) -> Generator:
 
 
 def gtriple(g: Generator, h: Generator, k: Generator) -> Generator:
-    """Triple product: ``gpair(gpair(g, h), k)``, flattened.
+    """Triple product in max-index shells, the three-column case of
+    `gpair`'s order.
 
-    Not balanced: at budget ``n`` the third component takes about
-    ``n ** 0.5`` distinct values and the first two about ``n ** 0.25``
-    each (7, 8 and 55 over three ``integers()`` at 3000).
+    Balanced: at budget ``n`` each component takes about ``n ** (1/3)``
+    distinct values (14, 15 and 15 over three ``integers()`` at 3000;
+    31, 32 and 32 at 30000).
     """
-    return gmap(lambda t: (t[0][0], t[0][1], t[1]), gpair(gpair(g, h), k))
+    return Generator(lambda: _shells((g, h, k)))
 
 
 _EXHAUSTED = object()
@@ -315,18 +323,19 @@ def register_default(key: Any, gen: Generator) -> None:
 def default_generator(t: Any) -> Generator:
     """Resolve the canonical generator for a type expression.
 
-    Understands registered concrete types plus ``tuple[A, B]``,
-    ``tuple[A, B, C]`` and ``list[A]`` built from registered components.
+    Understands registered concrete types plus ``tuple[A1, ..., Ak]`` for
+    any fixed ``k >= 1``, one max-index shell product of its parts, and
+    ``list[A]``, built from registered components.
     """
     origin = typing.get_origin(t)
     if origin is tuple:
         args = typing.get_args(t)
-        parts = [default_generator(a) for a in args]
-        if len(parts) == 2:
-            return gpair(parts[0], parts[1])
-        if len(parts) == 3:
-            return gtriple(parts[0], parts[1], parts[2])
-        raise KeyError(f"no default generator for {len(parts)}-tuples")
+        # `tuple[()]` (whose arguments read ``((),)`` on Python 3.10) and
+        # the variable-length `tuple[A, ...]` have no columns to enumerate
+        if not args or args == ((),) or args[-1] is Ellipsis:
+            raise KeyError(f"no default generator for {t!r}")
+        parts = tuple(default_generator(a) for a in args)
+        return Generator(lambda: _shells(parts))
     if origin is list:
         args = typing.get_args(t)
         if len(args) != 1:

@@ -11,6 +11,7 @@ anything was falsified, 2 when there were only logical/tactical errors.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import time
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import axioms, editor, generators, patches
-from .check import Check, Falsified, Holds, LogicalError, Meta, TacticalError, check
+from .check import Check, Falsified, Holds, LogicalError, Meta, TacticalError, _raised, check
 
 # ---------------------------------------------------------------------------
 # registry
@@ -99,20 +100,37 @@ def run_suite(suite: Suite, confidence: int, name_filter: Optional[str] = None) 
 
     ``name_filter`` is a plain substring match on entry names.  The report
     is deterministic for fixed inputs, durations aside.
+
+    Collector policy: a collection during the run never traverses the heap
+    that existed before it, nor what earlier entries left alive (their
+    generators' memos above all).  ``gc.freeze()`` moves that heap out of
+    the collector's reach before the first entry and again after each
+    entry, and ``gc.unfreeze()`` hands it back when the run ends, however
+    it ends.  A caller that has disabled the collector, or has frozen
+    objects of its own, keeps its policy: the run then freezes nothing.
     """
+    freezing = gc.isenabled() and not gc.get_freeze_count()
     results: List[EntryResult] = []
-    for entry in suite.entries():
-        if name_filter and name_filter not in entry.name:
-            continue
-        start = time.perf_counter()
-        try:
-            verdict = entry.check.perform(confidence)
-        except Exception as e:  # noqa: BLE001 — a crashing check must not kill the run
-            verdict = TacticalError(f"check evaluation raised: {e!r}")
-        if not isinstance(verdict, tuple(_VERDICTS)):
-            verdict = TacticalError(f"check returned {type(verdict).__name__}, not a verdict")
-        ms = (time.perf_counter() - start) * 1000.0
-        results.append(EntryResult(entry.name, verdict, _detail(verdict), confidence, ms))
+    try:
+        if freezing:
+            gc.freeze()
+        for entry in suite.entries():
+            if name_filter and name_filter not in entry.name:
+                continue
+            start = time.perf_counter()
+            try:
+                verdict = entry.check.perform(confidence)
+            except Exception as e:  # noqa: BLE001 — a crashing check must not kill the run
+                verdict = TacticalError(f"check evaluation raised: {_raised(e)}")
+            if not isinstance(verdict, tuple(_VERDICTS)):
+                verdict = TacticalError(f"check returned {type(verdict).__name__}, not a verdict")
+            ms = (time.perf_counter() - start) * 1000.0
+            results.append(EntryResult(entry.name, verdict, _detail(verdict), confidence, ms))
+            if freezing:
+                gc.freeze()
+    finally:
+        if freezing:
+            gc.unfreeze()
     return Report(tuple(results))
 
 

@@ -178,3 +178,26 @@ def test_nonneg_eligibility_registry():
 def test_axiomatic_rejects_unknown_values():
     with pytest.raises(TypeError):
         axiomatic(object())
+
+
+def test_balanced_associativity_reaches_a_fault_in_the_first_operand():
+    # multiplication that goes wrong only when its left operand is 5: at
+    # 3000 the balanced triple samples 5 in its first two columns, while the
+    # old pair of pairs sampled only 0, ±1, ±2, ±3 and 4 there, whose
+    # products are never 5 either, so it never combined 5 on the left
+    from purecheck import For, gmap, gpair, integers
+
+    def combine(x, y):
+        return 1 if x == 5 and y == 0 else x * y
+
+    faulty = Monoid("faulty-times", 1, combine, integers())
+    assert run(monoid_laws(faulty)[:2], 3000) == {
+        "monoid.left_unit<faulty-times>": Holds(),
+        "monoid.right_unit<faulty-times>": Holds(),
+    }
+    assoc = monoid_laws(faulty)[2][1].perform(3000)
+    assert assoc == Falsified("(-1, 5, 0)")
+    ints = faulty.elements
+    skewed = gmap(lambda t: (t[0][0], t[0][1], t[1]), gpair(gpair(ints, ints), ints))
+    law = lambda t: combine(combine(t[0], t[1]), t[2]) == combine(t[0], combine(t[1], t[2]))
+    assert check(Meta(For(skewed, law))).perform(3000) == Holds()

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from purecheck import (
+    Check,
     Falsified,
     For,
     Generator,
@@ -567,3 +568,64 @@ def test_a_sample_that_cannot_be_rendered_keeps_its_verdict():
     suite = Suite()
     suite.register("unrenderable", check_with(g, lambda x: False))
     assert run_suite(suite, 1).entries[0].verdict == Falsified(shown)
+
+
+class _Unrepresentable(Exception):
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+def _raise(e):
+    raise e
+
+
+def test_exception_texts_are_clipped():
+    # the exception's repr is clipped like a sample, wherever a verdict shows it
+    long = ValueError("x" * 5000)
+    shown = "ValueError('" + "x" * 185 + "..."
+    assert check_with(from_values([1]), lambda x: _raise(long)).perform(1) == LogicalError(
+        f"body raised on 1: {shown}"
+    )
+    assert check_with(Generator(lambda: _raise(long)), lambda x: True).perform(1) == TacticalError(
+        f"sample enumeration failed: {shown}"
+    )
+    suite = Suite()
+    suite.register("crashes", Check(lambda n: _raise(long)))
+    assert run_suite(suite, 1).entries[0].verdict == TacticalError(f"check evaluation raised: {shown}")
+
+
+def test_an_exception_that_cannot_be_represented_keeps_its_verdict():
+    # a fixed text naming the type, not a raise out of `perform` or the run
+    shown = "<unrepresentable _Unrepresentable>"
+    bad = _Unrepresentable()
+    assert check_with(from_values([1]), lambda x: _raise(bad)).perform(1) == LogicalError(
+        f"body raised on 1: {shown}"
+    )
+    assert check_with(Generator(lambda: _raise(bad)), lambda x: True).perform(1) == TacticalError(
+        f"sample enumeration failed: {shown}"
+    )
+    suite = Suite()
+    suite.register("crashes", Check(lambda n: _raise(bad)))
+    assert run_suite(suite, 1).entries[0].verdict == TacticalError(f"check evaluation raised: {shown}")
+
+
+class _UnrenderableRaisingUnrepresentable:
+    def __repr__(self):
+        raise _Unrepresentable()
+
+
+def test_a_sample_whose_render_raises_an_unrepresentable_exception_keeps_its_verdict():
+    shown = "<unrenderable _UnrenderableRaisingUnrepresentable: <unrepresentable _Unrepresentable>>"
+    g = from_values([_UnrenderableRaisingUnrepresentable()])
+    assert check_with(g, lambda x: False).perform(1) == Falsified(shown)
+
+
+def test_meta_is_a_frozen_value():
+    from dataclasses import FrozenInstanceError
+
+    m = Meta([1])
+    with pytest.raises(FrozenInstanceError):
+        m.reflect = 2
+    assert m == Meta([1]) == Meta(reflect=[1]) and m != Meta([2]) and m != [1]
+    assert hash(Meta((1,))) == hash(Meta((1,)))
+    assert repr(m) == "Meta(reflect=[1])" and vars(m) == {"reflect": [1]}

@@ -341,6 +341,70 @@ def test_an_automaton_from_its_lists_stays_frozen():
     assert a == Ins("x", Skip(Ins("", Skip(DONE)))) and hash(a) == hash(Ins("x", Skip(Ins("", Skip(DONE)))))
 
 
+def _fields(a):
+    """What `Try` equality means: a chain's prefixes and steps; `Fail` as itself."""
+    return (a.insertion.prefixes, a.insertion.steps) if isinstance(a, Try) else a
+
+
+def _agree(x, y):
+    same = _fields(x) == _fields(y)
+    assert (x == y) is same and (x != y) is not same
+    if same:
+        assert hash(x) == hash(y)
+    return same
+
+
+def test_try_equality_and_hash_agree_with_the_fields():
+    # sampled editor pairs: the diagonal is the only equal pair, one object
+    pairs = gpair(editors, editors).generate(3000)
+    assert sum(_agree(x, y) for x, y in pairs) == 54
+    # the same automaton rebuilt from its fields: equal, a different object
+    for x in editors.generate(3000):
+        if isinstance(x, Try):
+            twin = Try(Ins._of(list(x.insertion.prefixes), list(x.insertion.steps)))
+            assert twin is not x and _agree(x, twin)
+    # folded word pairs: 32 more equal pairs of two different words
+    folded = [(semantics(v), semantics(w)) for v, w in gpair(words, words).generate(3000)]
+    assert sum(_agree(x, y) for x, y in folded) == 86
+    assert sum(x is not y and x == y for x, y in folded) == 32
+
+
+def test_try_equality_against_what_is_not_a_try():
+    a = Try(DONE)
+    assert a != Fail() and Fail() != a and not a == Fail()
+    assert a.__eq__(Fail()) is NotImplemented
+    # a chain is not the automaton that tries it, nor is any other value
+    for other in (DONE, ("",), "", None, 0):
+        assert a != other and other != a and not a == other
+    # an insertion that is not an `Ins` compares by its own equality
+    assert Try(("",)) == Try(("",)) and hash(Try(("",))) == hash(Try(("",)))
+    assert Try(("",)) != a and a != Try(("",))
+
+
+@pytest.mark.parametrize(
+    "claim, args",
+    [
+        (Def, {"editor": Try(DONE)}),
+        (Undef, {"editor": Fail()}),
+        (DefUndef, {"left": Try(DONE), "right": Fail()}),
+        (Diff, {"left": Fail(), "right": Try(DONE)}),
+    ],
+)
+def test_claims_are_frozen_values(claim, args):
+    from dataclasses import FrozenInstanceError
+
+    c = claim(*args.values())
+    assert c == claim(**args) and hash(c) == hash(claim(**args))
+    assert vars(c) == args
+    shown = ", ".join(f"{k}={v!r}" for k, v in args.items())
+    assert repr(c) == f"{claim.__name__}({shown})"
+    for name in args:
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, name, Fail())
+        other = claim(**{**args, name: semantics(LEFT)})
+        assert c != other
+
+
 # -- totality and the defined/undefined boundary --------------------------------
 
 

@@ -239,6 +239,15 @@ def test_gtriple_flattens():
     assert len(set(got)) == len(got)
 
 
+def test_gtriple_is_balanced():
+    # one shell product of three columns: every column grows alike, at
+    # about n ** (1/3) distinct values, where a pair of pairs gave 7, 8, 55
+    got = gtriple(integers(), integers(), integers()).generate(3000)
+    assert [len(set(column)) for column in zip(*got)] == [14, 15, 15]
+    ints = integers().generate(15)
+    assert got == [tuple(ints[i] for i in t) for t in _shell_order((None,) * 3, 3000)]
+
+
 def test_lists_short_and_varied():
     got = lists_of(integers()).generate(12)
     assert got[0] == []
@@ -311,6 +320,9 @@ def test_enumeration_order_is_pinned():
     assert _digest(lists_of(integers()).generate(2000)) == (
         "4c8c5a49d7c787e2f170aadeeef6abf2ebc365bf63817c7898dcd7fd2faf347a"
     )
+    assert _digest(gtriple(integers(), integers(), integers()).generate(3000)) == (
+        "61a7e08b7d449e2bf1a285be8368af9f4c853eddeae75adaf472df24529ee55b"
+    )
 
 
 def test_editors_order_is_pinned_at_30000():
@@ -349,12 +361,23 @@ def test_default_generator_rejects_a_list_of_several_types():
             default_generator(t)
 
 
+def test_default_generator_rejects_a_tuple_without_fixed_columns():
+    for t in (tuple[()], tuple[int, ...], typing.Tuple):
+        with pytest.raises(KeyError, match=re.escape(f"no default generator for {t!r}")):
+            default_generator(t)
+    # one column is a product too: the stream of 1-tuples
+    assert default_generator(tuple[int]).generate(3) == [(0,), (1,), (-1,)]
+
+
 def test_default_generator_of_triples():
     triples = default_generator(tuple[bool, bool, bool]).generate(8)
     assert triples == gtriple(booleans(), booleans(), booleans()).generate(8)
     assert sorted(triples) == sorted(itertools.product([False, True], repeat=3))
-    with pytest.raises(KeyError, match="no default generator for 4-tuples"):
-        default_generator(tuple[int, int, int, int])
+    # any arity is one max-index shell product: shell 1 of four columns is
+    # every index tuple over {0, 1} but the origin, in lexicographic order,
+    # and shell 2 begins with the last column's third sample
+    quads = default_generator(tuple[int, int, int, int]).generate(17)
+    assert quads == [*itertools.product([0, 1], repeat=4), (0, 0, 0, -1)]
 
 
 # ---------------------------------------------------------------------------

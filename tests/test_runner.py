@@ -1,4 +1,5 @@
 """Suites, reports, exit codes, and the command-line front end."""
+import gc
 import hashlib
 import json
 import subprocess
@@ -75,6 +76,84 @@ def test_run_suite_catches_entry_exceptions():
     s.register("bad", Check(blow_up), ())
     report = run_suite(s, confidence=3)
     assert isinstance(report.entries[0].verdict, TacticalError)
+
+
+def _is_tracked(x):
+    """Whether the collector would traverse ``x``: frozen objects are in
+    none of the generations `gc.get_objects` lists."""
+    return any(o is x for o in gc.get_objects())
+
+
+def _recording_suite(seen, *, interrupt=False):
+    """Two entries that record the freeze count, and whether the pre-run
+    object and the first entry's leftover are traversed, while they run."""
+    from purecheck.check import Check
+
+    pre_run = ["made before the run"]
+    left = []
+
+    def first(n):
+        seen.append((gc.get_freeze_count(), _is_tracked(pre_run)))
+        left.append(["left alive by the first entry"])
+        return Holds()
+
+    def second(n):
+        seen.append((gc.get_freeze_count(), _is_tracked(pre_run), _is_tracked(left[0])))
+        if interrupt:
+            raise KeyboardInterrupt
+        return Holds()
+
+    s = Suite()
+    s.register("first", Check(first))
+    s.register("second", Check(second))
+    return s, pre_run
+
+
+def test_run_suite_keeps_the_collector_off_the_pre_run_heap():
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    seen = []
+    suite, pre_run = _recording_suite(seen)
+    assert exit_code(run_suite(suite, 1)) == 0
+    (count1, tracked1), (count2, tracked2, left_tracked) = seen
+    assert count1 > 0 and not tracked1
+    assert count2 > count1 and not tracked2 and not left_tracked
+    # the caller's state is restored: nothing frozen, everything traversed
+    assert gc.isenabled() and gc.get_freeze_count() == 0 and _is_tracked(pre_run)
+
+
+def test_run_suite_unfreezes_after_an_interrupt():
+    seen = []
+    suite, pre_run = _recording_suite(seen, interrupt=True)
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(suite, 1)
+    assert len(seen) == 2 and seen[1][0] > 0
+    assert gc.isenabled() and gc.get_freeze_count() == 0 and _is_tracked(pre_run)
+
+
+def test_run_suite_freezes_nothing_when_the_collector_is_disabled():
+    seen = []
+    suite, pre_run = _recording_suite(seen)
+    gc.disable()
+    try:
+        run_suite(suite, 1)
+        assert not gc.isenabled() and gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
+    assert seen == [(0, True), (0, True, True)]
+
+
+def test_run_suite_leaves_a_callers_frozen_objects_alone():
+    seen = []
+    suite, pre_run = _recording_suite(seen)
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        run_suite(suite, 1)
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+    # the caller froze `pre_run` itself; the run froze nothing more
+    assert seen == [(frozen, False), (frozen, False, True)]
 
 
 def test_exit_codes():
