@@ -70,13 +70,10 @@ from .editor import (
     DONE,
     Def,
     DefUndef,
-    Del,
     Diff,
     Editor,
     Fail,
     Ins,
-    Return,
-    Skip,
     Try,
     Undef,
     adequacy_suite,

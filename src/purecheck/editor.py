@@ -3,24 +3,24 @@
 An :data:`Editor` is a tiny one-pass automaton over an input string.  It
 alternates *insertion* nodes (emit a fixed prefix) with *consumption*
 steps (copy one input character, or require-and-drop a specific one),
-and ends by echoing whatever input remains.  In nested spelling:
+and ends by echoing whatever input remains.  Written as a nested chain,
+as `render` prints it:
 
 * ``Fail`` — defined on no input;
-* ``Try(Ins(prefix, k))`` — emit ``prefix``, then run ``k``;
-* ``Skip(a)`` — copy one input character, then run ``a``;
-* ``Del(c, a)`` — consume one input character, which must equal ``c``,
-  emit nothing, then run ``a``;
+* ``Try[Ins "p"; …]`` — emit ``p``, then run the rest of the chain;
+* ``Skip`` — copy one input character;
+* ``Del 'c'`` — consume one input character, which must equal ``c``,
+  and emit nothing;
 * ``Return`` — echo the rest of the input.
 
-An :class:`Ins` stores that chain flat and run-length encoded, as two
-tuples: ``prefixes``, one string per insertion node, and ``steps``, the
-consumption after each node but the last — the required character of a
-``Del``, or a positive count ``n`` for a run of ``n`` ``Skip``s whose
-``n - 1`` inner prefixes are empty.  ``Return`` is implied after the last
-prefix.  So an automaton's size tracks the edits folded into it, not the
-positions they reach.  ``Ins(prefix, k)`` still builds one from the
-nested spelling, whose ``Skip``/``Del``/``Return`` serve only as its
-arguments.
+An :class:`Ins` stores that chain flat and run-length encoded, and
+``Ins(prefixes, steps)`` is its one constructor: ``prefixes``, one string
+per insertion node, and ``steps``, the consumption after each node but
+the last — the required character of a ``Del``, or a positive count ``n``
+for a run of ``n`` ``Skip``s whose ``n - 1`` inner prefixes are empty,
+written ``Skip*n``.  ``Return`` is implied after the last prefix.  So an
+automaton's size tracks the edits folded into it, not the positions they
+reach.
 
 The *normal form* demands that no nonempty insertion directly follows a
 deletion: text inserted right after a ``Del`` is indistinguishable from
@@ -63,31 +63,22 @@ from .patches import INSERT, POSITIVE, Edit, EditOp, Word, action, from_list, sp
 # the automaton
 
 
-@dataclass(frozen=True)
-class Return:
-    pass
-
-
-@dataclass(frozen=True)
-class Skip:
-    next: "Ins"
-
-
-@dataclass(frozen=True)
-class Del:
-    char: str
-    next: "Ins"
-
-
-Consumption = Union[Skip, Del, Return]
-
 #: A ``Del``'s required character, or the length of a run of ``Skip``s.
 Step = Union[str, int]
 
 
 def _length(steps: Sequence[Step]) -> int:
-    """The number of input characters the steps consume."""
-    return sum([1 if type(c) is str else c for c in steps])
+    """The number of input characters the steps consume.  A step that is
+    neither one character nor an int of at least 1 raises `ValueError`."""
+    n = 0
+    for c in steps:
+        if type(c) is str and len(c) == 1:
+            n += 1
+        elif type(c) is int and c > 0:
+            n += c
+        else:
+            raise ValueError(f"a step is one character or an int of at least 1, not {c!r}")
+    return n
 
 
 @dataclass(frozen=True, init=False)
@@ -96,35 +87,24 @@ class Ins:
     and the last prefix before the rest of the input is echoed.  ``length``
     is the number of input characters the steps consume, the length of the
     pattern; it is fixed by ``steps``, so it takes no part in equality or
-    in the text of `repr`."""
+    in the text of `repr`.
+
+    There is one prefix more than there are steps, and each step is one
+    character or an int of at least 1; any other shape raises `ValueError`.
+    Whether the chain is in normal form is `is_normal`'s question."""
 
     prefixes: Tuple[str, ...]
     steps: Tuple[Step, ...]
-    length: int = field(compare=False, repr=False)
+    length: int = field(init=False, compare=False, repr=False)
 
-    def __init__(self, prefix: str, next: Consumption) -> None:
-        if isinstance(next, Return):
-            prefixes, steps = (prefix,), ()
-        else:
-            ps, ss = next.next.prefixes, next.next.steps
-            if isinstance(next, Del):
-                step = next.char
-            elif ss and not ps[0] and type(ss[0]) is int:  # joins the leading run
-                step, ps, ss = ss[0] + 1, ps[1:], ss[1:]
-            else:
-                step = 1
-            prefixes, steps = (prefix, *ps), (step, *ss)
-        object.__setattr__(self, "prefixes", prefixes)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "length", _length(steps))
-
-    @classmethod
-    def _of(cls, prefixes: List[str], steps: List[Step]) -> "Ins":
-        """The chain over the given prefixes and steps."""
-        a = cls.__new__(cls)
+    def __init__(self, prefixes: Sequence[str], steps: Sequence[Step]) -> None:
+        prefixes, steps = tuple(prefixes), tuple(steps)
+        if len(prefixes) != len(steps) + 1:
+            raise ValueError(
+                f"an automaton has one prefix more than steps, not {len(prefixes)} prefixes and {len(steps)} steps"
+            )
         # one write past the frozen `__setattr__`, not one call per field
-        a.__dict__.update(prefixes=tuple(prefixes), steps=tuple(steps), length=_length(steps))
-        return a
+        self.__dict__.update(prefixes=prefixes, steps=steps, length=_length(steps))
 
 
 @dataclass(frozen=True)
@@ -151,7 +131,7 @@ class Try:
 Editor = Union[Try, Fail]
 
 #: The identity automaton: insert nothing, echo the input.
-DONE = Ins("", Return())
+DONE = Ins(("",), ())
 
 
 def is_normal(a: Union[Editor, Ins]) -> bool:
@@ -303,7 +283,7 @@ def _splice(a: Ins, insert: bool, i: int, c: str) -> Optional[Ins]:
     if not isinstance(c, str) or len(c) != 1:
         raise ValueError(f"an edit's argument is one character, not {c!r}")
     ps, ss = list(a.prefixes), list(a.steps)
-    return Ins._of(ps, ss) if _edit(ps, ss, insert, i, c) else None
+    return Ins(ps, ss) if _edit(ps, ss, insert, i, c) else None
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +312,7 @@ def semantics(w: Word) -> Editor:
     except AttributeError:  # an entry that is not a literal over an `Edit`
         a = action(DONE, w)
         return Fail() if a is None else Try(a)
-    return Try(Ins._of(ps, ss))
+    return Try(Ins(ps, ss))
 
 
 def reify(a: Editor) -> Word:
@@ -671,7 +651,7 @@ def _editors() -> Iterator[Editor]:
     memo: dict = {}
     for w in itertools.count():
         for ps, ss in _chains(w, None, memo):
-            yield Try(Ins._of(ps, ss))
+            yield Try(Ins(ps, ss))
         if w == 1:
             yield Fail()
 

@@ -4,11 +4,11 @@ import types
 import purecheck
 
 PUBLIC = [
-    "Char", "Check", "DONE", "Def", "DefUndef", "Del", "Diff", "Edit", "EditOp", "Editor",
+    "Char", "Check", "DONE", "Def", "DefUndef", "Diff", "Edit", "EditOp", "Editor",
     "EntryResult", "Fail", "Falsified", "For", "Generator", "Holds", "INT_ADD", "Ins",
     "LIST_INT", "Literal", "LogicalError", "Meta", "Monoid", "MonoidCommute", "NestedFor",
     "PatchInvert", "Polarity", "RActionCompose", "RActionUnit", "RepeatLength", "Report",
-    "Return", "STRING", "Skip", "Suite", "SuiteEntry", "TacticalError", "Try", "UNIT",
+    "STRING", "Suite", "SuiteEntry", "TacticalError", "Try", "UNIT",
     "Undef", "Verdict", "WitnessSource", "Word", "action", "adequacy_suite", "axiomatic",
     "booleans", "brute_force_equiv", "characters", "check", "check_with", "conjoin",
     "cons_eq", "declare_nonneg", "default_generator", "default_suite", "editor_action",

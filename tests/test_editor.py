@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -20,7 +21,6 @@ from purecheck import (
     DONE,
     Def,
     DefUndef,
-    Del,
     Diff,
     Edit,
     EditOp,
@@ -29,8 +29,6 @@ from purecheck import (
     Ins,
     Literal,
     Polarity,
-    Return,
-    Skip,
     Try,
     Undef,
     Word,
@@ -78,8 +76,8 @@ def all_strings(alphabet="ab", max_len=6):
 
 
 def test_editor_action_rejects_what_is_not_an_automaton():
-    # bare consumption steps only spell the arguments of `Ins`
-    for value in (Return(), Skip(DONE), Del("a", DONE), "abc", None):
+    # the fields of an `Ins` are not an automaton without it
+    for value in ((("",), ()), "abc", None):
         with pytest.raises(TypeError, match="not an automaton"):
             editor_action("abc", value)
 
@@ -95,21 +93,21 @@ def test_fail_rejects_everything():
 
 
 def test_skip_requires_a_character():
-    e = Try(Ins("", Skip(Ins("", Return()))))
+    e = Try(Ins(("", ""), (1,)))
     assert editor_action("", e) is None
     assert editor_action("a", e) == "a"
     assert editor_action("ab", e) == "ab"
 
 
 def test_del_requires_the_exact_character():
-    e = Try(Ins("", Del("b", Ins("", Return()))))
+    e = Try(Ins(("", ""), ("b",)))
     assert editor_action("bcd", e) == "cd"
     assert editor_action("acd", e) is None
     assert editor_action("", e) is None
 
 
 def test_return_echoes_unread_suffix():
-    e = Try(Ins("x", Return()))
+    e = Try(Ins(("x",), ()))
     assert editor_action("abc", e) == "xabc"
 
 
@@ -118,38 +116,37 @@ def test_return_echoes_unread_suffix():
 
 def test_ins_of_return_is_plain():
     # an automaton without steps has nothing to hoist across
-    assert splice(Ins("a", Return()), True, 1, "b") == Ins("ab", Return())
+    assert splice(Ins(("a",), ()), True, 1, "b") == Ins(("ab",), ())
 
 
 def test_ins_hoisting_preserves_behaviour():
-    # deleting "y" at output 1 pins the Skip to Del("y") in front of "z"
-    raw = Ins("x", Del("y", Ins("z", Return())))
-    fixed = splice(Ins("x", Skip(Ins("z", Return()))), False, 1, "y")
+    # deleting "y" at output 1 pins the Skip to Del 'y' in front of "z"
+    raw = Ins(("x", "z"), ("y",))
+    fixed = splice(Ins(("x", "z"), (1,)), False, 1, "y")
     assert not is_normal(raw) and is_normal(fixed)
     for s in ("", "y", "ya", "ay", "yy"):
         assert editor_action(s, raw) == editor_action(s, fixed)
 
 
 def test_ins_hoists_across_deletion():
-    k = Return()
-    got = splice(Ins("x", Skip(Ins("z", k))), False, 1, "y")
-    assert got == Ins("xz", Del("y", Ins("", k)))
+    got = splice(Ins(("x", "z"), (1,)), False, 1, "y")
+    assert got == Ins(("xz", ""), ("y",))
 
 
 def test_ins_leaves_skip_alone():
     # an insertion behind a Skip stays there, and so does a prefix behind
     # the Skip that follows a new Del
-    node = splice(Ins("x", Skip(Ins("", Return()))), True, 2, "z")
-    assert node == Ins("x", Skip(Ins("z", Return())))
-    pinned = splice(Ins("x", Skip(Ins("", Skip(Ins("z", Return()))))), False, 1, "y")
-    assert pinned == Ins("x", Del("y", Ins("", Skip(Ins("z", Return())))))
+    node = splice(Ins(("x", ""), (1,)), True, 2, "z")
+    assert node == Ins(("x", "z"), (1,))
+    pinned = splice(Ins(("x", "z"), (2,)), False, 1, "y")
+    assert pinned == Ins(("x", "", "z"), ("y", 1))
 
 
 def test_is_normal():
     assert is_normal(DONE)
     assert is_normal(Fail())
-    assert not is_normal(Ins("a", Del("b", Ins("c", Return()))))
-    assert is_normal(Ins("ac", Del("b", Ins("", Return()))))
+    assert not is_normal(Ins(("a", "c"), ("b",)))
+    assert is_normal(Ins(("ac", ""), ("b",)))
 
 
 # -- splicing: words denote editors -------------------------------------------
@@ -161,17 +158,17 @@ def test_semantics_of_empty_word():
 
 def test_semantics_of_single_insert():
     got = semantics(parse_word("+0:a"))
-    assert got == Try(Ins("a", Return()))
+    assert got == Try(Ins(("a",), ()))
 
 
 def test_semantics_of_deep_insert():
     got = semantics(parse_word("+2:a"))
-    assert got == Try(Ins("", Skip(Ins("", Skip(Ins("a", Return()))))))
+    assert got == Try(Ins(("", "a"), (2,)))
 
 
 def test_semantics_of_single_delete():
     got = semantics(parse_word("-0:b"))
-    assert got == Try(Ins("", Del("b", Ins("", Return()))))
+    assert got == Try(Ins(("", ""), ("b",)))
 
 
 def test_semantics_of_impossible_word():
@@ -186,9 +183,7 @@ def test_semantics_of_impossible_word():
 def test_the_two_spellings_coincide():
     assert semantics(LEFT) == semantics(RIGHT)
     assert word_equiv(LEFT, RIGHT)
-    expected = Try(
-        Ins("", Skip(Ins("", Skip(Ins("a", Del("b", Ins("", Return())))))))
-    )
+    expected = Try(Ins(("", "a", ""), (2, "b")))
     assert semantics(LEFT) == expected
 
 
@@ -242,22 +237,22 @@ def test_a_negative_position_never_applies():
 
 
 def test_editor_insert_at_front():
-    assert splice(Ins("", Return()), True, 0, "a") == Ins("a", Return())
+    assert splice(Ins(("",), ()), True, 0, "a") == Ins(("a",), ())
 
 
 def test_editor_insert_beyond_prefix():
-    got = splice(Ins("", Return()), True, 2, "a")
-    assert got == Ins("", Skip(Ins("", Skip(Ins("a", Return())))))
+    got = splice(Ins(("",), ()), True, 2, "a")
+    assert got == Ins(("", "a"), (2,))
 
 
 def test_editor_delete_forces_mismatch_to_nothing():
-    assert splice(Ins("x", Return()), False, 0, "y") is None
-    assert splice(Ins("x", Return()), False, 0, "x") == Ins("", Return())
+    assert splice(Ins(("x",), ()), False, 0, "y") is None
+    assert splice(Ins(("x",), ()), False, 0, "x") == Ins(("",), ())
 
 
 def test_editor_delete_skip_becomes_del():
-    start = Ins("", Skip(Ins("", Return())))
-    assert splice(start, False, 0, "c") == Ins("", Del("c", Ins("", Return())))
+    start = Ins(("", ""), (1,))
+    assert splice(start, False, 0, "c") == Ins(("", ""), ("c",))
 
 
 def test_splices_agree_with_string_edits_on_enumerated_automata():
@@ -284,11 +279,11 @@ def test_splices_agree_with_string_edits_on_enumerated_automata():
 def test_splice_on_an_automaton_takes_one_character():
     # a longer argument built a `Del 'ab'` step whose definedness witness
     # the automaton rejects, and an empty one raised from deep in the split
-    a = Ins._of(["", ""], [3])
+    a = Ins(["", ""], [3])
     for insert, c in itertools.product((True, False), ("ab", "", None)):
         with pytest.raises(ValueError, match="an edit's argument is one character"):
             splice(a, insert, 1, c)
-    assert splice(a, False, 1, "b") == Ins._of(["", "", "", ""], [1, "b", 1])
+    assert splice(a, False, 1, "b") == Ins(["", "", "", ""], [1, "b", 1])
 
 
 def _reference_run_delete(ps, ss, k, i, c):
@@ -324,7 +319,7 @@ def test_a_run_splits_as_the_reference_does():
                     got = (list(prefixes), list(steps))
                     assert editor._edit(*got, False, out + i, c)
                     assert got == want, (prefixes, steps, i, c)
-                    assert is_normal(Ins._of(*got))
+                    assert is_normal(Ins(*got))
                     cases += 1
                     hoisted += i == n - 1 and prefixes[k + 1] != ""
             out += n if type(n) is int else 0  # a Del emits nothing
@@ -334,11 +329,45 @@ def test_a_run_splits_as_the_reference_does():
 def test_an_automaton_from_its_lists_stays_frozen():
     from dataclasses import FrozenInstanceError
 
-    a = Ins._of(["x", ""], [2])
+    a = Ins(["x", ""], [2])
     with pytest.raises(FrozenInstanceError):
         a.prefixes = ("y", "")
     assert vars(a) == {"prefixes": ("x", ""), "steps": (2,), "length": 2}
-    assert a == Ins("x", Skip(Ins("", Skip(DONE)))) and hash(a) == hash(Ins("x", Skip(Ins("", Skip(DONE)))))
+    assert a == Ins(("x", ""), (2,)) and hash(a) == hash(Ins(("x", ""), (2,)))
+
+
+@pytest.mark.parametrize(
+    "prefixes, steps, fault",
+    [
+        # unchecked, a prefix too few would run "ab" to 'aaab' and render a
+        # prefix the chain lacks, and no prefix at all would index past it
+        (["a"], [1], "one prefix more than steps, not 1 prefixes and 1 steps"),
+        ([], [], "one prefix more than steps, not 0 prefixes and 0 steps"),
+        (["", "", ""], [1], "one prefix more than steps, not 3 prefixes and 1 steps"),
+        # unchecked, a longer Del would count as one input character
+        (["", ""], ["xy"], "a step is one character or an int of at least 1, not 'xy'"),
+        (["", ""], [""], "a step is one character or an int of at least 1, not ''"),
+        (["", "", ""], [1, 0], "a step is one character or an int of at least 1, not 0"),
+        (["", ""], [-2], "a step is one character or an int of at least 1, not -2"),
+        (["", ""], [True], "a step is one character or an int of at least 1, not True"),
+        (["", ""], [1.0], "a step is one character or an int of at least 1, not 1.0"),
+        (["", ""], [None], "a step is one character or an int of at least 1, not None"),
+        (["", ""], [("a",)], "a step is one character or an int of at least 1, not ('a',)"),
+    ],
+)
+def test_an_automaton_rejects_a_malformed_shape(prefixes, steps, fault):
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        Ins(prefixes, steps)
+
+
+def test_replacing_a_field_goes_through_the_constructor():
+    from dataclasses import replace
+
+    a = Ins(("x", ""), (2,))
+    b = replace(a, steps=[3])
+    assert b == Ins(("x", ""), (3,)) and b.steps == (3,) and b.length == 3
+    with pytest.raises(ValueError, match="one prefix more than steps"):
+        replace(a, prefixes=("x",))
 
 
 def _fields(a):
@@ -361,7 +390,7 @@ def test_try_equality_and_hash_agree_with_the_fields():
     # the same automaton rebuilt from its fields: equal, a different object
     for x in editors.generate(3000):
         if isinstance(x, Try):
-            twin = Try(Ins._of(list(x.insertion.prefixes), list(x.insertion.steps)))
+            twin = Try(Ins(list(x.insertion.prefixes), list(x.insertion.steps)))
             assert twin is not x and _agree(x, twin)
     # folded word pairs: 32 more equal pairs of two different words
     folded = [(semantics(v), semantics(w)) for v, w in gpair(words, words).generate(3000)]
@@ -410,9 +439,9 @@ def test_claims_are_frozen_values(claim, args):
 
 def test_is_total():
     assert is_total(Try(DONE))
-    assert is_total(Try(Ins("xyz", Return())))
+    assert is_total(Try(Ins(("xyz",), ())))
     assert not is_total(Fail())
-    assert not is_total(Try(Ins("", Skip(Ins("", Return())))))
+    assert not is_total(Try(Ins(("", ""), (1,))))
 
 
 def test_witness_def_finds_an_accepted_string():
@@ -518,7 +547,7 @@ def test_render_editor():
     assert render(DONE) == 'Ins ""; Return'
     assert render(semantics(LEFT)) == 'Try[Ins ""; Skip*2; Ins "a"; Del \'b\'; Ins ""; Return]'
     # a run of one stays one Skip, and a run is written once however long
-    assert render(Ins("x", Skip(Ins("y", Skip(DONE))))) == 'Ins "x"; Skip; Ins "y"; Skip; Ins ""; Return'
+    assert render(Ins(("x", "y", ""), (1, 1))) == 'Ins "x"; Skip; Ins "y"; Skip; Ins ""; Return'
     far = semantics(parse_word("+1000000000000000000:a"))
     assert render(far) == 'Try[Ins ""; Skip*1000000000000000000; Ins "a"; Return]'
 
@@ -579,7 +608,7 @@ def test_editors_cover_every_small_normal_form_once():
     for k in range(3):
         for ps in itertools.product(texts, repeat=k + 1):
             for ss in itertools.product(["a", "b", 1, 2], repeat=k):
-                a = Try(Ins._of(ps, ss))
+                a = Try(Ins(ps, ss))
                 if is_normal(a) and _weight(a) <= 8:
                     universe.append(a)
     assert len(universe) == 747
@@ -616,7 +645,7 @@ def _reference_chains(w, after):
 def _reference_editors():
     for w in itertools.count():
         for ps, ss in _reference_chains(w, None):
-            yield Try(Ins._of(ps, ss))
+            yield Try(Ins(ps, ss))
         if w == 1:
             yield Fail()
 
@@ -655,7 +684,7 @@ def test_repr_of_deep_automata():
     assert repr(semantics(parse_word("+400:a"))) == "Try(insertion=Ins(prefixes=('', 'a'), steps=(400,)))"
     far = semantics(parse_word("+1000000000000000000:a"))
     assert repr(far) == "Try(insertion=Ins(prefixes=('', 'a'), steps=(1000000000000000000,)))"
-    assert repr(Try(Ins("x", Del("a", Ins("", Skip(DONE)))))) == (
+    assert repr(Try(Ins(("x", "", ""), ("a", 1)))) == (
         "Try(insertion=Ins(prefixes=('x', '', ''), steps=('a', 1)))"
     )
 
@@ -846,11 +875,11 @@ def test_an_automaton_carries_the_length_of_its_pattern():
     built += [x.insertion for x in map(semantics, words.generate(3000)) if x != Fail()]
     spelled = [
         DONE,
-        Ins("x", Skip(Ins("", Skip(DONE)))),
-        Ins("", Del("a", Ins("b", Skip(Ins("", Skip(DONE)))))),
-        Ins("", Skip(Ins("y", Del("c", DONE)))),
-        Ins("b", Del("a", Ins("", Del("c", Ins("d", Return()))))),
-        Ins("z", Skip(Ins("", Del("a", Ins("b", Skip(DONE)))))),
+        Ins(("x", ""), (2,)),
+        Ins(("", "b", ""), ("a", 2)),
+        Ins(("", "y", ""), (1, "c")),
+        Ins(("b", "", "d"), ("a", "c")),
+        Ins(("z", "", "b", ""), (1, "a", 1)),
     ]
     spliced = [
         r
@@ -865,22 +894,19 @@ def test_an_automaton_carries_the_length_of_its_pattern():
 
 
 def test_the_length_of_a_pattern_takes_no_part_in_equality():
-    nested = Ins("", Skip(Ins("", Skip(Ins("", Del("a", DONE))))))
-    flat = Ins._of(["", "", ""], [2, "a"])
+    flat = Ins(["", "", ""], [2, "a"])
     folded = semantics(parse_word("+0:a,-0:a,-2:a")).insertion
-    assert nested == flat == folded and len({nested, flat, folded}) == 1
-    assert nested.length == flat.length == folded.length == 3
-    for a in (nested, DONE, Ins("x", Skip(Ins("", Del("a", DONE))))):
+    assert flat == folded and len({flat, folded}) == 1
+    assert flat.length == folded.length == 3
+    for a in (flat, DONE, Ins(("x", "", ""), (1, "a"))):
         for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
             assert b == a and hash(b) == hash(a) and b.length == a.length
 
 
 def test_is_normal_rejects_unmerged_runs():
     # two runs of Skips with an empty prefix between them are one run
-    assert not is_normal(Ins._of(["", "", ""], [1, 1]))
-    assert is_normal(Ins._of(["", "x", ""], [1, 1]))
-    assert Ins("", Skip(Ins("", Skip(DONE)))).steps == (2,)
-    assert Ins("", Skip(Ins("x", Skip(DONE)))).steps == (1, 1)
+    assert not is_normal(Ins(["", "", ""], [1, 1]))
+    assert is_normal(Ins(["", "x", ""], [1, 1]))
 
 
 def test_direct_fold_agrees_with_the_dispatch_path():

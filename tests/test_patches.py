@@ -41,7 +41,7 @@ from purecheck import (
     undo,
     words,
 )
-from purecheck.editor import DONE, Ins, Return, editor_action
+from purecheck.editor import DONE, Ins, editor_action
 from purecheck.patches import act, splice
 
 # -- handy strategies -------------------------------------------------------
@@ -239,7 +239,7 @@ class _Swap:
 
 @act.register
 def _(p: _Swap, s):
-    return Ins(s + p.tag, Return()) if type(s) is str else editor_action(p.tag, s)
+    return Ins((s + p.tag,), ()) if type(s) is str else editor_action(p.tag, s)
 
 
 @inv.register
@@ -362,7 +362,7 @@ def test_automata_are_states_not_patches():
     # an automaton is what a word denotes: it is edited, it does not act
     with pytest.raises(TypeError, match="not a patch: Ins"):
         action("ab", DONE)
-    assert action(DONE, parse_word("+0:a")) == Ins("a", Return())
+    assert action(DONE, parse_word("+0:a")) == Ins(("a",), ())
 
 
 # -- text form ----------------------------------------------------------------
