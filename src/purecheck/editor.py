@@ -32,9 +32,11 @@ merged instead.  So structural equality of the tuples is equality of the
 nested chains.
 
 Single edits splice into automata through one call,
-``splice(a, insert, i, c)``, and folding a whole word of edits over the
-identity automaton, in place on one pair of lists, gives its
-:func:`semantics`.  Two words denote the same partial string function
+``splice(a, insert, i, c)``, a walk over the chain.  Folding a whole word
+of edits over the identity automaton gives its :func:`semantics`; the fold
+keeps the output as a list indexed by position, so each edit is one list
+insertion or removal, and reads the normal form off that list once at the
+end.  Two words denote the same partial string function
 exactly when their automata are structurally equal — which turns an
 undecidable-looking question about group words into an equality test
 (:func:`word_equiv`).  Conversely, :func:`reify` spells any automaton as a
@@ -89,9 +91,10 @@ class Ins:
     pattern; it is fixed by ``steps``, so it takes no part in equality or
     in the text of `repr`.
 
-    There is one prefix more than there are steps, and each step is one
-    character or an int of at least 1; any other shape raises `ValueError`.
-    Whether the chain is in normal form is `is_normal`'s question."""
+    There is one prefix more than there are steps, each prefix is a `str`,
+    and each step is one character or an int of at least 1; any other shape
+    raises `ValueError`.  Whether the chain is in normal form is
+    `is_normal`'s question."""
 
     prefixes: Tuple[str, ...]
     steps: Tuple[Step, ...]
@@ -103,6 +106,11 @@ class Ins:
             raise ValueError(
                 f"an automaton has one prefix more than steps, not {len(prefixes)} prefixes and {len(steps)} steps"
             )
+        try:  # one C-level pass over the prefixes, not one type check each
+            "".join(prefixes)
+        except TypeError:
+            bad = next(p for p in prefixes if not isinstance(p, str))
+            raise ValueError(f"a prefix is a str, not {bad!r}") from None
         # one write past the frozen `__setattr__`, not one call per field
         self.__dict__.update(prefixes=prefixes, steps=steps, length=_length(steps))
 
@@ -182,20 +190,23 @@ def editor_action(s: str, a: Union[Editor, Ins]) -> Optional[str]:
 # splicing single edits
 #
 # One walk, `_edit`, splices an insertion or a deletion into a pair of
-# lists, the automaton's prefixes and steps, in place: it walks the nodes
-# by index, tracking how much *output* the nodes passed so far produce,
-# and splices at the node owning the target position.  A position inside
-# a run splits the run there.  Positions beyond all structure fall into
-# the echoed-input region and append a run of Skips, growing a trailing
-# run that ends in an empty prefix.  Two edits can break a form: a
-# deletion that empties the prefix between two runs (the runs merge), and
-# a deletion that turns a Skip into a Del in front of a nonempty prefix;
-# `_hoist` then moves that prefix left across every Del in front of it.
-# (An insertion never lands right after a Del: it passes a node only when
-# at least one more output character precedes the spot, and the prefix
-# after a Del is empty.  A hoist empties only prefixes that follow a Del,
-# so it never leaves two runs to merge.)  Correctness is not argued here —
-# the test suite pins it against exhaustive application to concrete strings.
+# lists, the automaton's prefixes and steps, in place.  It is the splice of
+# `splice(a, insert, i, c)` on an `Ins`, and it finishes the fold of a
+# word whose positions reach past the fold's token list (see `_TOKENS`).
+# It walks the nodes by index, tracking how much *output* the nodes passed
+# so far produce, and splices at the node owning the target position.  A
+# position inside a run splits the run there.  Positions beyond all
+# structure fall into the echoed-input region and append a run of Skips,
+# growing a trailing run that ends in an empty prefix.  Two edits can break
+# a form: a deletion that empties the prefix between two runs (the runs
+# merge), and a deletion that turns a Skip into a Del in front of a
+# nonempty prefix; `_hoist` then moves that prefix left across every Del
+# in front of it.  (An insertion never lands right after a Del: it passes
+# a node only when at least one more output character precedes the spot,
+# and the prefix after a Del is empty.  A hoist empties only prefixes that
+# follow a Del, so it never leaves two runs to merge.)  Correctness is not
+# argued here — the test suite pins it against exhaustive application to
+# concrete strings, and against the fold.
 
 
 def _hoist(ps: List[str], ss: List[Step], k: int) -> None:
@@ -288,24 +299,124 @@ def _splice(a: Ins, insert: bool, i: int, c: str) -> Optional[Ins]:
 
 # ---------------------------------------------------------------------------
 # the word problem
+#
+# The fold does not splice into the chain.  It keeps the output the
+# automaton built so far produces, as a token list indexed by output
+# position, in the way a piece table keeps a text: ``out[k]`` is an
+# inserted character (a `str`) or the input position ``j`` whose character
+# is copied there (an `int`).  A parallel `bytearray` marks the inserted
+# characters, the deleted input positions are kept with the character each
+# requires, and the output ends by echoing the input from ``j``, the first
+# position not yet in the list.  So an edit is one `list.insert` or
+# `list.pop` at its position: past the end, the echoed positions from ``j``
+# are appended first; popping an input position records a ``Del``, and
+# popping an inserted character checks it.
+#
+# `_chain` then reads the normal form off once, per event and not per
+# position.  The copied positions stay in increasing order, every input
+# position below ``j`` is copied or deleted, and each group of inserted
+# characters is anchored after the copied position in front of it (or at
+# the start): it becomes the prefix of the node after that position, so it
+# lands before the ``Del``s that follow, as the normal form demands.  The
+# ``Del``s, sorted once, and the groups are the chain's events; the runs of
+# ``Skip``s between them are differences of positions.  The conversion and
+# `_hoist`, behind the walk, are what decide a normal form.
+
+#: The most entries the fold's token list holds.  The list spells every
+#: output position up to the furthest edit, one entry each, so a word that
+#: would grow it past this many (an edit at position 10**18, say) is handed
+#: over to the walk: the fold converts what it has and splices the rest of
+#: the word into the run-length chain, whose size tracks the edits, not the
+#: positions.  Edit words that act on text a few hundred characters long
+#: stay well under it.
+_TOKENS = 4096
+
+
+def _chain(out: list, kinds: bytearray, dels: List[Tuple[int, str]], end: int) -> Tuple[List[str], List[Step]]:
+    """The normal form's prefixes and steps for the fold's token list
+    ``out``, its kinds, its deleted positions and the first echoed input
+    position ``end``.  It sorts ``dels`` and appends to it."""
+    ps: List[str] = []
+    ss: List[Step] = []
+    p, at = "", 0  # the open prefix, and the input positions consumed before it
+    k = kinds.find(1)  # the start of the next group of inserted characters
+    dels.sort()
+    dels.append((end, ""))  # the end of the pattern, after every group
+    for d, c in dels:
+        while k >= 0:
+            m = out[k - 1] + 1 if k else 0  # the group follows input position m - 1
+            if m > d:
+                break
+            if m > at:
+                ps.append(p)
+                ss.append(m - at)
+                at = m
+            stop = kinds.find(0, k)
+            if stop < 0:
+                stop = len(out)
+            p = "".join(out[k:stop])
+            k = kinds.find(1, stop)
+        if d > at:
+            ps.append(p)
+            ss.append(d - at)
+            p, at = "", d
+        if c:
+            ps.append(p)
+            ss.append(c)
+            p, at = "", d + 1
+    ps.append(p)
+    return ps, ss
 
 
 @lru_cache(maxsize=4096)
 def semantics(w: Word) -> Editor:
     """Fold a word's edits over the identity automaton.
 
-    Every literal splices in place into one pair of lists; a negative
-    literal splices the inverse edit.  An intermediate edit with an empty
-    composite collapses the whole word to ``Fail``.  Any other entry that
-    `action` accepts (a bare `Edit`, a nested `Word`) sends the whole word
-    through `action` on the identity automaton.  The cache keeps the 4096
-    most recently used words.
+    Each literal is one edit of the fold's token list, a negative literal
+    the inverse edit, and `_chain` converts the list to the normal form
+    once, at the end.  An edit with an empty composite (a negative
+    position, or the deletion of an inserted character with a different
+    argument) collapses the whole word to ``Fail``.  A word whose token
+    list would grow past ``_TOKENS`` entries is converted there, and the
+    rest of its literals splice into the chain through `_edit`.  Any other
+    entry that `action` accepts (a bare `Edit`, a nested `Word`) sends the
+    whole word through `action` on the identity automaton.  The cache keeps
+    the 4096 most recently used words.
     """
-    ps: List[str] = [""]
-    ss: List[Step] = []
-    insert, positive = INSERT, POSITIVE  # one global read per fold, not per literal
+    out: list = []  # an inserted character, or the input position copied there
+    kinds = bytearray()  # 1 where `out` holds an inserted character
+    dels: List[Tuple[int, str]] = []  # each deleted input position and its character
+    j = 0  # the first input position not in `out` or `dels`: the echo starts there
+    insert, positive, cap = INSERT, POSITIVE, _TOKENS  # one global read per fold, not per literal
+    literals = iter(w.literals)
     try:
-        for lit in w.literals:
+        for lit in literals:
+            e = lit.atom
+            i, n = e.pos, len(out)
+            ins = (e.op is insert) is (lit.polarity is positive)
+            grow = i + 1 - ins - n  # an insertion needs i entries before it, a deletion i + 1
+            if grow > 0:  # past the end: the echoed input positions from j come first
+                if i >= cap:
+                    break
+                out += range(j, j + grow)
+                kinds += bytes(grow)
+                j += grow
+            elif i < 0:
+                return Fail()
+            elif n >= cap:
+                break
+            if ins:
+                out.insert(i, e.arg)
+                kinds.insert(i, 1)
+            elif not kinds.pop(i):
+                dels.append((out.pop(i), e.arg))
+            elif out.pop(i) != e.arg:
+                return Fail()  # that output position is fixed to a different character
+        else:
+            return Try(Ins(*_chain(out, kinds, dels, j)))
+        # the literal that broke out would grow the list past the cap
+        ps, ss = _chain(out, kinds, dels, j)
+        for lit in itertools.chain((lit,), literals):
             e = lit.atom
             if not _edit(ps, ss, (e.op is insert) is (lit.polarity is positive), e.pos, e.arg):
                 return Fail()

@@ -353,6 +353,11 @@ def test_an_automaton_from_its_lists_stays_frozen():
         (["", ""], [1.0], "a step is one character or an int of at least 1, not 1.0"),
         (["", ""], [None], "a step is one character or an int of at least 1, not None"),
         (["", ""], [("a",)], "a step is one character or an int of at least 1, not ('a',)"),
+        # unchecked, a prefix that is not a string is built and then makes
+        # `editor_action` raise `TypeError` from `str.join`
+        ([None, ""], [1], "a prefix is a str, not None"),
+        (["ab", 5], [1], "a prefix is a str, not 5"),
+        ([b"x"], [], "a prefix is a str, not b'x'"),
     ],
 )
 def test_an_automaton_rejects_a_malformed_shape(prefixes, steps, fault):
@@ -909,18 +914,121 @@ def test_is_normal_rejects_unmerged_runs():
     assert is_normal(Ins(["", "x", ""], [1, 1]))
 
 
+def _literal_for(rng, op, pos, c):
+    """The effective edit ``op`` at ``pos`` as a literal of either polarity:
+    a negative literal spells it with the inverse op."""
+    if rng.random() < 0.5:
+        return Literal(Polarity.POSITIVE, Edit(op, pos, c))
+    inverse = EditOp.DELETE if op is EditOp.INSERT else EditOp.INSERT
+    return Literal(Polarity.NEGATIVE, Edit(inverse, pos, c))
+
+
+def _stream_word(rng):
+    """8 to 32 edits that apply in turn to a base of 100 to 200 letters, at
+    positions up to 200, each in either polarity; one word in four has a
+    near miss among them: a deletion of a character one off from the one
+    present, one position past the string, or an extra insertion."""
+    s = "".join(rng.choice("abcdef") for _ in range(rng.randint(100, 200)))
+    miss = rng.randint(0, 31) if rng.random() < 0.25 else -1
+    literals = []
+    for k in range(rng.randint(8, 32)):
+        if k == miss:
+            kind = rng.randrange(3)
+            if kind == 0 and s:
+                pos = rng.randint(0, min(len(s) - 1, 200))
+                literals.append(_literal_for(rng, EditOp.DELETE, pos, chr(ord(s[pos]) + 1)))
+            elif kind == 1:
+                literals.append(_literal_for(rng, EditOp.DELETE, len(s), "a"))
+            else:
+                literals.append(_literal_for(rng, EditOp.INSERT, rng.randint(0, 200), "z"))
+            continue
+        if s and rng.random() < 0.4:
+            pos = rng.randint(0, min(len(s) - 1, 200))
+            op, c = EditOp.DELETE, s[pos]
+            s = s[:pos] + s[pos + 1 :]
+        else:
+            pos, op, c = rng.randint(0, min(len(s), 200)), EditOp.INSERT, rng.choice("abcdef")
+            s = s[:pos] + c + s[pos:]
+        literals.append(_literal_for(rng, op, pos, c))
+    return Word(tuple(literals))
+
+
+def _far_word(rng):
+    """Up to 12 literals over ``ab``, mostly at positions below 40, some
+    around 4096 and some up to 10**18, so that a word can reach far and then
+    go on editing near the front; about one in nine positions is negative."""
+    literals = []
+    for _ in range(rng.randint(1, 12)):
+        where = rng.random()
+        if where < 0.55:
+            pos = rng.randint(0, 40)
+        elif where < 0.75:
+            pos = rng.randint(4090, 4100)
+        elif where < 0.9:
+            pos = 10 ** rng.randint(4, 18) + rng.randint(-3, 3)
+        else:
+            pos = -rng.randint(1, 3)
+        literals.append(Literal(rng.choice(list(Polarity)), Edit(rng.choice(list(EditOp)), pos, rng.choice("ab"))))
+    return Word(tuple(literals))
+
+
+def _wrong_deletion_word(rng):
+    """Insertions near the front, then a deletion at one of the inserted
+    characters, asking for a different character: the composite is empty."""
+    c, other = rng.sample("abc", 2)
+    pos = rng.randint(0, 30)
+    before = [_literal_for(rng, EditOp.INSERT, rng.randint(0, 30), rng.choice("abc")) for _ in range(rng.randint(0, 4))]
+    return Word((*before, _literal_for(rng, EditOp.INSERT, pos, c), _literal_for(rng, EditOp.DELETE, pos, other)))
+
+
 def test_direct_fold_agrees_with_the_dispatch_path():
-    # the fold splices literals in place; the `act` path splices one edit
-    # at a time through the `Ins` splicer, `splice(a, insert, i, c)`
+    # the fold works on its own representation; the `act` path splices one
+    # edit at a time through the `Ins` splicer, `splice(a, insert, i, c)`,
+    # whose walk and `_hoist` decide the normal form there
     rng = random.Random(11)
     ws = [*words.generate(3000), *(_clustered_word(rng) for _ in range(3000))]
-    failed = negative = 0
+    ws += [_stream_word(rng) for _ in range(1500)]
+    ws += [_far_word(rng) for _ in range(3000)]
+    ws += [_wrong_deletion_word(rng) for _ in range(300)]
+    ws += [
+        parse_word("+0:a,+4096:b,-1:x,+2:c,-0:a"),
+        parse_word("+4095:a,+0:b,-4096:a,+3:c"),
+        parse_word("+1000000000000000000:a,+0:b,-1:x,+2:c,-0:b"),
+        parse_word("-5:a,+0:b,-1:a,+9223372036854775807:c,+3:d,~+4:a,-4:a"),
+        parse_word("+0:a,+1:b,-1:c"),
+        parse_word("+3:a,~+3:b"),
+        parse_word("+0:a,-1:b,+4:c,-0:a,~+4:a"),
+        # 4100 insertions at the front outgrow the cap without a far position
+        parse_word(",".join(["+0:a"] * 4100 + ["-4099:a", "+2:b", "-4100:x", "-0:a"])),
+    ]
+    failed = negative = far = below_zero = 0
     for w in ws:
         r = action(DONE, w)
-        assert semantics.__wrapped__(w) == (Fail() if r is None else Try(r)), render(w)
+        folded = semantics.__wrapped__(w)
+        assert folded == (Fail() if r is None else Try(r)), render(w)
+        assert is_normal(folded), render(w)
         failed += r is None
         negative += any(lit.polarity is Polarity.NEGATIVE for lit in w.literals)
-    assert failed > 100 and negative > 1000
+        far += r is not None and r.length > 4096
+        below_zero += any(lit.atom.pos < 0 for lit in w.literals)
+    assert failed > 1000 and negative > 3000 and far > 300 and below_zero > 500
+
+
+def test_the_fold_agrees_with_the_action_on_adversarial_words():
+    # seeded words of up to 9 literals, dense at positions 0-6 over `ab`,
+    # against the action on every string over `abc` up to length 6
+    rng = random.Random(5)
+    universe = all_strings("abc", 6)
+    for _ in range(150):
+        w = Word(
+            tuple(
+                Literal(rng.choice(list(Polarity)), Edit(rng.choice(list(EditOp)), rng.randint(0, 6), rng.choice("ab")))
+                for _ in range(rng.randint(1, 9))
+            )
+        )
+        folded = semantics(w)
+        for s in universe:
+            assert editor_action(s, folded) == action(s, w), (render(w), s)
 
 
 # -- words with entries other than literals over edits -------------------------
