@@ -49,7 +49,15 @@ INSERT, DELETE = EditOp.INSERT, EditOp.DELETE
 POSITIVE, NEGATIVE = Polarity.POSITIVE, Polarity.NEGATIVE
 
 
-@dataclass(frozen=True, slots=True)
+# `Edit`, `Literal` and `Word` check their fields in a hand-written
+# `__init__`: one frame per object, where a generated `__init__` calling
+# `__post_init__` takes two.  `dataclasses.replace` calls it by keyword.
+# It stores each field through its slot's own setter (`_set_op` and the
+# rest, below the classes): a frozen class's `__setattr__` raises, and
+# `object.__setattr__` looks the slot up by name on every call.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Edit:
     """Insert or delete one character at a 0-based position."""
 
@@ -57,33 +65,38 @@ class Edit:
     pos: int
     arg: str
 
-    def __post_init__(self):
+    def __init__(self, op: EditOp, pos: int, arg: str):
         # the action tells the ops apart by identity and the fold compares
         # positions as ints, so any other op or position (a bool among
         # them) would act, fold or render as something else
-        if type(self.op) is not EditOp or type(self.pos) is not int:
-            raise ValueError(f"an edit is an EditOp at an int position, not {self.op!r} at {self.pos!r}")
+        if type(op) is not EditOp or type(pos) is not int:
+            raise ValueError(f"an edit is an EditOp at an int position, not {op!r} at {pos!r}")
         # the automaton model splices one character per edit; an empty or
         # longer argument would make it disagree with the string action
-        if not isinstance(self.arg, str) or len(self.arg) != 1:
-            raise ValueError(f"an edit's argument is one character, not {self.arg!r}")
+        if not isinstance(arg, str) or len(arg) != 1:
+            raise ValueError(f"an edit's argument is one character, not {arg!r}")
+        _set_op(self, op)
+        _set_pos(self, pos)
+        _set_arg(self, arg)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Literal:
     """A patch with a direction: positive applies, negative un-applies."""
 
     polarity: Polarity
     atom: Any
 
-    def __post_init__(self):
+    def __init__(self, polarity: Polarity, atom: Any):
         # the action and the renderer tell the polarities apart by identity,
         # so any other value would act and render as a negative literal
-        if type(self.polarity) is not Polarity:
-            raise ValueError(f"a literal's polarity is a Polarity, not {self.polarity!r}")
+        if type(polarity) is not Polarity:
+            raise ValueError(f"a literal's polarity is a Polarity, not {polarity!r}")
+        _set_polarity(self, polarity)
+        _set_atom(self, atom)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Word:
     """A sequence of polarized literals, applied left to right."""
 
@@ -92,8 +105,9 @@ class Word:
     # hash seed, so `__reduce__` leaves it out of pickled and copied state
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "literals", tuple(self.literals))
+    def __init__(self, literals: Iterable[Any] = ()):
+        _set_literals(self, tuple(literals))
+        _set_hash(self, None)
 
     def __hash__(self) -> int:
         # one flat tuple: a literal over an edit contributes its four fields,
@@ -111,11 +125,17 @@ class Word:
                     ]
                 )
             )
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __reduce__(self):
         return (Word, (self.literals,))
+
+
+# the slots' setters; see the comment above `Edit`
+_set_op, _set_pos, _set_arg = Edit.op.__set__, Edit.pos.__set__, Edit.arg.__set__
+_set_polarity, _set_atom = Literal.polarity.__set__, Literal.atom.__set__
+_set_literals, _set_hash = Word.literals.__set__, Word._hash.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +293,9 @@ def from_list(edits: Iterable[Edit]) -> Word:
 # A position is `0` or ASCII digits without a leading zero, as `render`
 # writes it: `int` reads "٣" as 3 (in a `str` pattern `\d` matches every
 # Unicode decimal digit) and "03" as 3, so "+٣:a" or "+03:a" would parse
-# as "+3:a" and not render back
-_LITERAL = re.compile(r"(~?[+-](?:0|[1-9][0-9]*):.)", re.DOTALL)
+# as "+3:a" and not render back.  The first group is the whole literal, the
+# other four its mark, op, position and argument.
+_LITERAL = re.compile(r"((~?)([+-])(0|[1-9][0-9]*):(.))", re.DOTALL)
 
 
 @render.register
@@ -300,35 +321,56 @@ def render_word(w: Word) -> str:
 
 def _tokens(text: str) -> Optional[List[str]]:
     """The literal texts of a word, or ``None`` when ``text`` is not one."""
-    # split alternates separators and literals: sep, lit, sep, ..., lit, sep
+    # split alternates separators and the five groups of each literal:
+    # sep, lit, mark, op, pos, arg, sep, ..., lit, mark, op, pos, arg, sep
     parts = _LITERAL.split(text)
-    seps = list(map(str.strip, parts[::2]))
+    seps = list(map(str.strip, parts[::6]))
     inner = seps[1:-1]
     if seps[0] or seps[-1] or inner.count(",") != len(inner):
         return None
-    return parts[1::2]
+    return parts[1::6]
 
 
-# 2**16 distinct texts at about 260 bytes each: 17 MB at most
+# 2**16 distinct texts at about 270 bytes each, key and literal: 18 MB at
+# most (tracemalloc, texts like the benchmark stream's, positions below 2001)
 @functools.lru_cache(maxsize=1 << 16)
-def _literal(token: str) -> Literal:
-    """The literal a token of `_LITERAL` spells, built once per distinct
-    text while it stays in the cache; equal texts share one object."""
-    negative = token[0] == "~"
-    body = token[1:] if negative else token
-    op = INSERT if body[0] == "+" else DELETE
-    edit = Edit(op, int(body[1:-2]), body[-1])
-    return Literal(NEGATIVE if negative else POSITIVE, edit)
+def _literal(text: str) -> Literal:
+    """The literal ``text`` spells, built once per distinct text while it
+    stays in the cache; equal texts share one object.  A text that is not
+    exactly one literal raises `ValueError`, so only literals are cached."""
+    match = _LITERAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a literal: {text!r}")
+    _, mark, op, pos, arg = match.groups()
+    return Literal(NEGATIVE if mark else POSITIVE, Edit(INSERT if op == "+" else DELETE, int(pos), arg))
+
+
+# A word whose pieces between commas are each one literal, which is every
+# word `render_word` writes unless an argument is ",", parses with one split
+# and one pass over the cache.  Any other text, whitespace around a
+# separator or a "," argument among them, goes through `_tokens`, and so
+# does anything that is not a `str`, which its pattern refuses with
+# `TypeError`.
 
 
 def parse_word(text: str) -> Word:
+    if type(text) is str:
+        try:
+            return Word(map(_literal, text.split(",")))
+        except ValueError:
+            pass
     tokens = _tokens(text)
     if tokens is None:
         raise ValueError(f"not a word: {text!r}")
-    return Word(tuple(map(_literal, tokens)))
+    return Word(map(_literal, tokens))
 
 
 def parse_literal(text: str) -> Literal:
+    if type(text) is str:
+        try:
+            return _literal(text)
+        except ValueError:
+            pass
     tokens = _tokens(text)
     if tokens is None or len(tokens) != 1:
         raise ValueError(f"not a literal: {text!r}")

@@ -4,9 +4,10 @@ on ordinary strings.
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,7 @@ from purecheck import (
     words,
 )
 from purecheck.editor import DONE, Ins, editor_action
-from purecheck.patches import act, splice
+from purecheck.patches import _LITERAL, _literal, act, splice
 
 # -- handy strategies -------------------------------------------------------
 
@@ -147,6 +148,8 @@ def test_edit_argument_is_one_character(arg):
     # string action of the same word is undefined there
     with pytest.raises(ValueError, match="one character"):
         Edit(EditOp.DELETE, 0, arg)
+    with pytest.raises(ValueError, match="one character"):
+        replace(Edit(EditOp.DELETE, 0, "a"), arg=arg)
 
 
 @pytest.mark.parametrize(
@@ -161,6 +164,8 @@ def test_edit_argument_is_one_character(arg):
 def test_edit_op_and_position_have_the_model_types(op, pos):
     with pytest.raises(ValueError, match="an EditOp at an int position"):
         Edit(op, pos, "x")
+    with pytest.raises(ValueError, match="an EditOp at an int position"):
+        replace(Edit(EditOp.INSERT, 0, "x"), op=op, pos=pos)
 
 
 @pytest.mark.parametrize(
@@ -174,6 +179,26 @@ def test_edit_op_and_position_have_the_model_types(op, pos):
 def test_literal_polarity_is_a_polarity(polarity):
     with pytest.raises(ValueError, match="polarity is a Polarity"):
         Literal(polarity, Edit(EditOp.INSERT, 0, "b"))
+    with pytest.raises(ValueError, match="polarity is a Polarity"):
+        replace(lit(EditOp.INSERT, 0, "b"), polarity=polarity)
+
+
+def test_fields_are_checked_and_frozen_however_built():
+    e = Edit(op=EditOp.INSERT, pos=2, arg="a")
+    assert replace(e, pos=3) == Edit(EditOp.INSERT, 3, "a")
+    assert replace(Literal(Polarity.POSITIVE, e), atom=Word()) == Literal(Polarity.POSITIVE, Word(()))
+    with pytest.raises(FrozenInstanceError):
+        e.pos = 3
+    # a word stores its entries as a tuple, whatever iterable it is given
+    ls = [Literal(Polarity.POSITIVE, e), e]
+    for spelling in (ls, iter(ls), (x for x in ls), dict.fromkeys(ls)):
+        built = Word(spelling)
+        assert type(built.literals) is tuple and built == Word(tuple(ls))
+    assert Word().literals == () and type(replace(Word(), literals=ls).literals) is tuple
+    w = Word(ls)
+    hash(w)  # the cached hash is not carried over
+    shorter = replace(w, literals=ls[:1])
+    assert shorter == Word(ls[:1]) and hash(shorter) == hash(Word(ls[:1]))
 
 
 # -- the action on strings ---------------------------------------------------
@@ -435,24 +460,121 @@ def test_only_words_of_literals_over_edits_parse_back():
     assert parse_word(render(bare)) == from_list([e, f]) != bare
 
 
+# positions are ASCII digits without a leading zero: `int` reads any Unicode
+# decimal digit and skips leading zeros, so "+٣:a" and "+03:a" would parse as
+# "+3:a" and not render back
+_GARBAGE = (
+    "+:a", "1:a", "+1:", "+1:ab", "*1:a", "+-1:a", "+٣:a", "+２:a", "~-１:b", "+1٣:a", "+0:a,+٣:a",
+    "+03:a", "-00:a", "~+01:b",
+)
+
+
 def test_parse_rejects_garbage():
-    # positions are ASCII digits without a leading zero: `int` reads any
-    # Unicode decimal digit and skips leading zeros, so "+٣:a" and "+03:a"
-    # would parse as "+3:a" and not render back
-    for bad in (
-        "+:a", "1:a", "+1:", "+1:ab", "*1:a", "+-1:a", "+٣:a", "+２:a", "~-１:b", "+1٣:a", "+0:a,+٣:a",
-        "+03:a", "-00:a", "~+01:b",
-    ):
+    cached = _literal.cache_info().currsize
+    for bad in _GARBAGE:
         for parse in (parse_word, parse_literal):
             try:
                 parse(bad)
             except ValueError:
                 continue
             raise AssertionError(f"expected {parse.__name__} to fail on {bad!r}")
+    # a text that is not exactly one literal is never a key of the cache
+    assert _literal.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("text", [None, 5, b"+0:a", ["+0:a"]])
+def test_parse_takes_only_text(text):
+    for parse in (parse_word, parse_literal):
+        with pytest.raises(TypeError):
+            parse(text)
+
+
+# the regex-only parse that the split-then-cache parse stands in for: one
+# regex split, each literal built afresh; `parse_word` and `parse_literal`
+# must agree with it on every text
+_REFERENCE_LITERAL = re.compile(r"(~?[+-](?:0|[1-9][0-9]*):.)", re.DOTALL)
+
+
+def _reference_tokens(text):
+    parts = _REFERENCE_LITERAL.split(text)
+    seps = list(map(str.strip, parts[::2]))
+    inner = seps[1:-1]
+    if seps[0] or seps[-1] or inner.count(",") != len(inner):
+        return None
+    return parts[1::2]
+
+
+def _reference_literal(token):
+    negative = token[0] == "~"
+    body = token[1:] if negative else token
+    op = EditOp.INSERT if body[0] == "+" else EditOp.DELETE
+    return Literal(Polarity.NEGATIVE if negative else Polarity.POSITIVE, Edit(op, int(body[1:-2]), body[-1]))
+
+
+def _reference_parse_word(text):
+    tokens = _reference_tokens(text)
+    if tokens is None:
+        raise ValueError(f"not a word: {text!r}")
+    return Word(tuple(map(_reference_literal, tokens)))
+
+
+def _reference_parse_literal(text):
+    tokens = _reference_tokens(text)
+    if tokens is None or len(tokens) != 1:
+        raise ValueError(f"not a literal: {text!r}")
+    return _reference_literal(tokens[0])
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+def _spaced(rng, literal_texts):
+    """A word's literal texts joined by commas, with random whitespace
+    around each separator and at either end."""
+    pad = lambda: rng.choice(("", "", " ", "\t", "\n", " \n "))
+    return pad() + ",".join(pad() + t + pad() for t in literal_texts) + pad()
+
+
+def test_parse_agrees_with_the_regex_parse():
+    rng = random.Random(29)
+    # arguments the separators, the whitespace and the marks are made of
+    odd = [
+        Word(tuple(lit(rng.choice(list(EditOp)), rng.randint(0, 30), rng.choice(",: ~\na"), neg=rng.random() < 0.5)
+                   for _ in range(rng.randint(1, 6))))
+        for _ in range(3000)
+    ]
+    texts = list(_GARBAGE)
+    for bad in ("+0:a,", ",+0:a", "+0:a,,+1:b", ",", ",,", " , ", "+0:a, ,+1:b", "+0:,,", "+1" + "0" * 5000 + ":a"):
+        texts += [bad, " " + bad + " "]
+    for k, w in enumerate([*words.generate(20000), *odd]):
+        literal_texts = list(map(render, w.literals))
+        texts += [render_word(w), _spaced(rng, literal_texts)]
+        if k % 5 == 0:
+            texts += [*literal_texts, _spaced(rng, literal_texts[:1])]
+    # and text made of what literals are made of
+    texts += ["".join(rng.choice("+-~:, \n0123a") for _ in range(rng.randint(0, 12))) for _ in range(5000)]
+    words_by_path = [0, 0]  # through the regex split, through one split on ","
+    for text in texts:
+        word = _parsed(parse_word, text)
+        assert word == _parsed(_reference_parse_word, text), text
+        assert _parsed(parse_literal, text) == _parsed(_reference_parse_literal, text), text
+        if word is not ValueError:
+            words_by_path[all(map(_LITERAL.fullmatch, text.split(",")))] += 1
+    assert min(words_by_path) > 10000, words_by_path
 
 
 def test_repeated_literal_texts_parse_to_one_object():
-    assert parse_word("+3:a").literals[0] is parse_word("-1:b,+3:a").literals[1]
+    one = parse_word("+3:a").literals[0]
+    assert parse_word("-1:b,+3:a").literals[1] is one
+    # whitespace around a separator takes the regex split, which reads the
+    # same cache
+    assert parse_word(" +3:a , -1:b").literals[0] is one
+    assert parse_literal("+3:a") is one
+    assert parse_literal(" +3:a ") is one
 
 
 class _CountedHash:
