@@ -52,9 +52,6 @@ POSITIVE, NEGATIVE = Polarity.POSITIVE, Polarity.NEGATIVE
 # `Edit`, `Literal` and `Word` check their fields in a hand-written
 # `__init__`: one frame per object, where a generated `__init__` calling
 # `__post_init__` takes two.  `dataclasses.replace` calls it by keyword.
-# It stores each field through its slot's own setter (`_set_op` and the
-# rest, below the classes): a frozen class's `__setattr__` raises, and
-# `object.__setattr__` looks the slot up by name on every call.
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -75,9 +72,9 @@ class Edit:
         # longer argument would make it disagree with the string action
         if not isinstance(arg, str) or len(arg) != 1:
             raise ValueError(f"an edit's argument is one character, not {arg!r}")
-        _set_op(self, op)
-        _set_pos(self, pos)
-        _set_arg(self, arg)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "arg", arg)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -92,8 +89,8 @@ class Literal:
         # so any other value would act and render as a negative literal
         if type(polarity) is not Polarity:
             raise ValueError(f"a literal's polarity is a Polarity, not {polarity!r}")
-        _set_polarity(self, polarity)
-        _set_atom(self, atom)
+        object.__setattr__(self, "polarity", polarity)
+        object.__setattr__(self, "atom", atom)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -106,8 +103,8 @@ class Word:
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, literals: Iterable[Any] = ()):
-        _set_literals(self, tuple(literals))
-        _set_hash(self, None)
+        object.__setattr__(self, "literals", tuple(literals))
+        object.__setattr__(self, "_hash", None)
 
     def __hash__(self) -> int:
         # one flat tuple: a literal over an edit contributes its four fields,
@@ -125,17 +122,11 @@ class Word:
                     ]
                 )
             )
-            _set_hash(self, h)
+            object.__setattr__(self, "_hash", h)
         return h
 
     def __reduce__(self):
         return (Word, (self.literals,))
-
-
-# the slots' setters; see the comment above `Edit`
-_set_op, _set_pos, _set_arg = Edit.op.__set__, Edit.pos.__set__, Edit.arg.__set__
-_set_polarity, _set_atom = Literal.polarity.__set__, Literal.atom.__set__
-_set_literals, _set_hash = Word.literals.__set__, Word._hash.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +357,6 @@ def parse_word(text: str) -> Word:
 
 
 def parse_literal(text: str) -> Literal:
-    if type(text) is str:
-        try:
-            return _literal(text)
-        except ValueError:
-            pass
     tokens = _tokens(text)
     if tokens is None or len(tokens) != 1:
         raise ValueError(f"not a literal: {text!r}")

@@ -469,8 +469,7 @@ _GARBAGE = (
 )
 
 
-def test_parse_rejects_garbage():
-    cached = _literal.cache_info().currsize
+def _reject_garbage():
     for bad in _GARBAGE:
         for parse in (parse_word, parse_literal):
             try:
@@ -478,7 +477,19 @@ def test_parse_rejects_garbage():
             except ValueError:
                 continue
             raise AssertionError(f"expected {parse.__name__} to fail on {bad!r}")
-    # a text that is not exactly one literal is never a key of the cache
+
+
+def test_parse_rejects_garbage():
+    _reject_garbage()
+    # a text that is not exactly one literal is never a key of the cache:
+    # the cache's function refuses it, and a second pass, which finds the
+    # literal pieces of the garbage ("+0:a" of "+0:a,+٣:a") cached by the
+    # first, adds no entry (the size check alone would hold on a full cache)
+    for bad in _GARBAGE:
+        with pytest.raises(ValueError, match="^not a literal: "):
+            _literal(bad)
+    cached = _literal.cache_info().currsize
+    _reject_garbage()
     assert _literal.cache_info().currsize == cached
 
 
