@@ -15,17 +15,15 @@ the extension is generally unsound, so it is never inferred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import singledispatch
 from typing import Any, Callable, List, Tuple
 
 from . import patches
-from .check import Check, For, Meta, check
+from .check import Check, For, Meta, _Value, check
 from .generators import Generator, from_values, gpair, gtriple, integers, lists_of, strings
 
 
-@dataclass(frozen=True)
-class Monoid:
+class Monoid(_Value):
     """An associative operation with unit, plus a sample domain."""
 
     name: str
@@ -45,15 +43,13 @@ INT_ADD = Monoid("int-addition", 0, lambda x, y: x + y, integers())
 # axiom values
 
 
-@dataclass(frozen=True)
-class MonoidCommute:
+class MonoidCommute(_Value):
     """The (optional) law that a monoid's operation commutes."""
 
     monoid: Monoid
 
 
-@dataclass(frozen=True)
-class RActionUnit:
+class RActionUnit(_Value):
     """Acting with the monoid unit changes nothing."""
 
     act: Callable[[Any, Any], Any]
@@ -61,8 +57,7 @@ class RActionUnit:
     monoid: Monoid
 
 
-@dataclass(frozen=True)
-class RActionCompose:
+class RActionCompose(_Value):
     """Acting with a product equals acting with its factors in turn."""
 
     act: Callable[[Any, Any], Any]
@@ -70,8 +65,7 @@ class RActionCompose:
     monoid: Monoid
 
 
-@dataclass(frozen=True)
-class PatchInvert:
+class PatchInvert(_Value):
     """Wherever a patch applies, undoing it restores the original state."""
 
     states: Generator
@@ -79,8 +73,7 @@ class PatchInvert:
     name: str
 
 
-@dataclass(frozen=True)
-class RepeatLength:
+class RepeatLength(_Value):
     """Repeating a string k times scales its length by k (for k >= 0)."""
 
     sample: str
@@ -96,7 +89,7 @@ def axiomatic(a: Any) -> Meta:
     raise TypeError(f"not an axiom value: {type(a).__name__}")
 
 
-@axiomatic.register
+@axiomatic.register(MonoidCommute)
 def _(a: MonoidCommute) -> Meta:
     m = a.monoid
     return Meta(
@@ -107,12 +100,12 @@ def _(a: MonoidCommute) -> Meta:
     )
 
 
-@axiomatic.register
+@axiomatic.register(RActionUnit)
 def _(a: RActionUnit) -> Meta:
     return Meta(For(a.states, lambda s: a.act(s, a.monoid.unit) == s))
 
 
-@axiomatic.register
+@axiomatic.register(RActionCompose)
 def _(a: RActionCompose) -> Meta:
     m = a.monoid
     bound = gtriple(a.states, m.elements, m.elements)
@@ -124,7 +117,7 @@ def _(a: RActionCompose) -> Meta:
     )
 
 
-@axiomatic.register
+@axiomatic.register(PatchInvert)
 def _(a: PatchInvert) -> Meta:
     def law(sp) -> bool:
         s, p = sp
@@ -136,7 +129,7 @@ def _(a: PatchInvert) -> Meta:
     return Meta(For(gpair(a.states, a.patch_domain), law))
 
 
-@axiomatic.register
+@axiomatic.register(RepeatLength)
 def _(a: RepeatLength) -> Meta:
     x = a.sample
 

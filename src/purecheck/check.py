@@ -33,32 +33,99 @@ from __future__ import annotations
 import functools
 import inspect
 import typing
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Any, Callable, Optional, Union
 
 from .generators import Generator, default_generator, gpair
 
 # ---------------------------------------------------------------------------
+# frozen values
+
+
+class _Value:
+    """A frozen record whose fields are its class's own annotations, in
+    order: the behaviour of ``@dataclass(frozen=True)`` without generating
+    and compiling methods for each class.
+
+    Fields are given by position or keyword, and a class attribute of a
+    field's name is its default.  ``==`` compares the field tuples of two
+    instances of one class (against any other class it returns
+    `NotImplemented`), `hash` is the field tuple's, and `repr` and
+    ``__match_args__`` are the dataclass ones.  Assigning or deleting an
+    attribute raises `dataclasses.FrozenInstanceError`; `copy` and `pickle`
+    restore the instance ``__dict__``.  `dataclasses.replace` and
+    `dataclasses.fields` do not apply.
+    """
+
+    __match_args__: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__match_args__ = names
+        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        # past the frozen `__setattr__` field by field: a write to `__dict__`
+        # would give each instance a dict of its own, and reading a field
+        # from it costs more than from the compact inline values this keeps
+        # (the axiom values' fields are read once per sample)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call that does not give every field by position."""
+        names = cls.__match_args__
+        given = dict(zip(names, args))
+        values = {**cls._defaults, **given, **kwargs}
+        if len(args) > len(names) or not given.keys().isdisjoint(kwargs) or values.keys() != set(names):
+            shown = ", ".join(names) or "no fields"
+            raise TypeError(f"{cls.__name__}() takes {shown}, each once, by position or keyword")
+        return tuple(map(values.__getitem__, names))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # verdicts
 
 
-@dataclass(frozen=True)
-class Holds:
+class Holds(_Value):
     pass
 
 
-@dataclass(frozen=True)
-class Falsified:
+class Falsified(_Value):
     counterexample: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class LogicalError:
+class LogicalError(_Value):
     diagnostic: str
 
 
-@dataclass(frozen=True)
-class TacticalError:
+class TacticalError(_Value):
     diagnostic: str
 
 
@@ -115,8 +182,7 @@ def _raised(e: BaseException) -> str:
 # marking
 
 
-@dataclass(frozen=True, init=False)
-class Meta:
+class Meta(_Value):
     """Inert marker separating meta-logical values from operational ones.
 
     ``Meta(x).reflect`` is ``x``: wrapping then reflecting is the identity.
@@ -150,8 +216,7 @@ def foreach(f: Callable[[Any], Any]) -> Meta:
 # checks
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Value):
     """A confidence-parameterized heuristic decision of a proposition."""
 
     perform: Callable[[int], Verdict]
@@ -235,16 +300,14 @@ def check_with(g: Generator, p: Union[Meta, Callable]) -> Check:
 # bounded quantification
 
 
-@dataclass(frozen=True)
-class For:
+class For(_Value):
     """A universally quantified proposition with an explicit sample bound."""
 
     bound: Generator
     body: Callable[[Any], Any]
 
 
-@dataclass(frozen=True)
-class NestedFor:
+class NestedFor(_Value):
     """Two nested bounded quantifiers whose inner bound does not depend on
     the outer variable.  Storing the inner generator separately makes that
     independence structural, which is what licenses merging."""

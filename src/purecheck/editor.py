@@ -56,7 +56,7 @@ from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import generators, patches
-from .check import Check, For, Meta, NestedFor, check, qmerge, render
+from .check import Check, For, Meta, NestedFor, _Value, check, qmerge, render
 from .existentials import exists, exists_or_vacuous, exists_some
 from .generators import Generator, gpair, register_default
 from .patches import INSERT, POSITIVE, Edit, EditOp, Word, action, from_list, splice
@@ -115,25 +115,30 @@ class Ins:
         self.__dict__.update(prefixes=prefixes, steps=steps, length=_length(steps))
 
 
-@dataclass(frozen=True)
-class Fail:
+class Fail(_Value):
     pass
 
 
-@dataclass(frozen=True)
-class Try:
+class Try(_Value):
     insertion: Ins
 
+    # built for every enumerated editor and every fold: one field, stored
+    # without the general argument binding
+    def __init__(self, insertion: Ins) -> None:
+        object.__setattr__(self, "insertion", insertion)
+
     def __eq__(self, other: object) -> bool:
-        # the class check of the generated `__eq__`, then the fields of two
-        # `Ins` in this frame rather than in `Ins.__eq__`; the generated
-        # `__hash__`, over the `Ins` hash of the same fields, agrees with it
+        # the class check of `_Value.__eq__`, then the fields of two `Ins`
+        # in this frame rather than in `Ins.__eq__`; `_Value.__hash__`,
+        # over the `Ins` hash of the same fields, agrees with it
         if other.__class__ is not self.__class__:
             return NotImplemented
         a, b = self.insertion, other.insertion
         if a.__class__ is Ins is b.__class__:
             return a.steps == b.steps and a.prefixes == b.prefixes
         return a == b
+
+    __hash__ = _Value.__hash__
 
 
 Editor = Union[Try, Fail]
@@ -280,7 +285,7 @@ def _edit(ps: List[str], ss: List[Step], insert: bool, i: int, c: str) -> bool:
         k += 1
 
 
-@splice.register
+@splice.register(Ins)
 def _splice(a: Ins, insert: bool, i: int, c: str) -> Optional[Ins]:
     """Splice one edit into an automaton, as ``splice(a, insert, i, c)``:
     insert ``c`` at output position ``i`` when ``insert``, else delete it.
@@ -592,8 +597,7 @@ def witness_diff(x: Editor, y: Editor) -> Optional[str]:
 # through one call of it per field
 
 
-@dataclass(frozen=True, init=False)
-class Def:
+class Def(_Value):
     """Claim: the automaton accepts some input."""
 
     editor: Editor
@@ -605,8 +609,7 @@ class Def:
         return witness_def(self.editor)
 
 
-@dataclass(frozen=True, init=False)
-class Undef:
+class Undef(_Value):
     """Claim: the automaton rejects some input."""
 
     editor: Editor
@@ -618,8 +621,7 @@ class Undef:
         return witness_undef(self.editor)
 
 
-@dataclass(frozen=True, init=False)
-class DefUndef:
+class DefUndef(_Value):
     """Claim: some input is accepted by ``left`` and rejected by ``right``."""
 
     left: Editor
@@ -633,8 +635,7 @@ class DefUndef:
         return witness_def_undef(self.left, self.right)
 
 
-@dataclass(frozen=True, init=False)
-class Diff:
+class Diff(_Value):
     """Claim: some input distinguishes the two automata."""
 
     left: Editor

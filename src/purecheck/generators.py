@@ -43,7 +43,6 @@ block.
 from __future__ import annotations
 
 import itertools
-import string as _string
 import typing
 from types import TracebackType
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -161,7 +160,7 @@ def naturals() -> Generator:
 
 
 def _character_order() -> str:
-    seen = dict.fromkeys(_string.ascii_lowercase + _string.digits)
+    seen = dict.fromkeys("abcdefghijklmnopqrstuvwxyz0123456789")
     for code in range(0x20, 0x7F):
         seen.setdefault(chr(code))
     return "".join(seen)

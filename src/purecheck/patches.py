@@ -138,27 +138,27 @@ def inv(x: Any):
     raise TypeError(f"no inverse defined for {type(x).__name__}")
 
 
-@inv.register
+@inv.register(Polarity)
 def _(x: Polarity) -> Polarity:
     return Polarity.NEGATIVE if x is Polarity.POSITIVE else Polarity.POSITIVE
 
 
-@inv.register
+@inv.register(EditOp)
 def _(x: EditOp) -> EditOp:
     return EditOp.DELETE if x is EditOp.INSERT else EditOp.INSERT
 
 
-@inv.register
+@inv.register(Edit)
 def _(x: Edit) -> Edit:
     return Edit(inv(x.op), x.pos, x.arg)
 
 
-@inv.register
+@inv.register(Literal)
 def _(x: Literal) -> Literal:
     return Literal(inv(x.polarity), x.atom)
 
 
-@inv.register
+@inv.register(Word)
 def _(x: Word) -> Word:
     # undoing a sequence undoes each step in reverse order
     return Word(tuple(inv(lit) for lit in reversed(x.literals)))
@@ -202,7 +202,7 @@ def splice(s: Any, insert: bool, i: int, c: str) -> Optional[Any]:
     raise TypeError(f"states of type {type(s).__name__} do not support edits")
 
 
-@splice.register
+@splice.register(str)
 def _(s: str, insert: bool, i: int, c: str) -> Optional[str]:
     # the one string splice: `string_insert` and `string_delete` call it
     if insert:
@@ -284,12 +284,12 @@ def from_list(edits: Iterable[Edit]) -> Word:
 # A position is `0` or ASCII digits without a leading zero, as `render`
 # writes it: `int` reads "٣" as 3 (in a `str` pattern `\d` matches every
 # Unicode decimal digit) and "03" as 3, so "+٣:a" or "+03:a" would parse
-# as "+3:a" and not render back.  The first group is the whole literal, the
-# other four its mark, op, position and argument.
-_LITERAL = re.compile(r"((~?)([+-])(0|[1-9][0-9]*):(.))", re.DOTALL)
+# as "+3:a" and not render back.  The one group is the whole literal, so
+# that a split keeps it.
+_LITERAL = re.compile(r"(~?[+-](?:0|[1-9][0-9]*):.)", re.DOTALL)
 
 
-@render.register
+@render.register(Edit)
 def render_edit(e: Edit) -> str:
     return f"{e.op.value}{e.pos}:{e.arg}"
 
@@ -299,27 +299,26 @@ def _render_entry(x: Any) -> str:
     return f"({render_word(x)})" if type(x) is Word else render(x)
 
 
-@render.register
+@render.register(Literal)
 def render_literal(lit: Literal) -> str:
     mark = "" if lit.polarity is Polarity.POSITIVE else "~"
     return mark + _render_entry(lit.atom)
 
 
-@render.register
+@render.register(Word)
 def render_word(w: Word) -> str:
     return ",".join(map(_render_entry, w.literals))
 
 
 def _tokens(text: str) -> Optional[List[str]]:
     """The literal texts of a word, or ``None`` when ``text`` is not one."""
-    # split alternates separators and the five groups of each literal:
-    # sep, lit, mark, op, pos, arg, sep, ..., lit, mark, op, pos, arg, sep
+    # split alternates separators and literals: sep, lit, sep, ..., lit, sep
     parts = _LITERAL.split(text)
-    seps = list(map(str.strip, parts[::6]))
+    seps = list(map(str.strip, parts[::2]))
     inner = seps[1:-1]
     if seps[0] or seps[-1] or inner.count(",") != len(inner):
         return None
-    return parts[1::6]
+    return parts[1::2]
 
 
 # 2**16 distinct texts at about 270 bytes each, key and literal: 18 MB at
@@ -329,11 +328,13 @@ def _literal(text: str) -> Literal:
     """The literal ``text`` spells, built once per distinct text while it
     stays in the cache; equal texts share one object.  A text that is not
     exactly one literal raises `ValueError`, so only literals are cached."""
-    match = _LITERAL.fullmatch(text)
-    if match is None:
+    if _LITERAL.fullmatch(text) is None:
         raise ValueError(f"not a literal: {text!r}")
-    _, mark, op, pos, arg = match.groups()
-    return Literal(NEGATIVE if mark else POSITIVE, Edit(INSERT if op == "+" else DELETE, int(pos), arg))
+    # the mark and the op lead; the argument is the last character, and the
+    # position ends at the ':' before it
+    if text[0] == "~":
+        return Literal(NEGATIVE, Edit(INSERT if text[1] == "+" else DELETE, int(text[2:-2]), text[-1]))
+    return Literal(POSITIVE, Edit(INSERT if text[0] == "+" else DELETE, int(text[1:-2]), text[-1]))
 
 
 # A word whose pieces between commas are each one literal, which is every

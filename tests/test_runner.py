@@ -27,6 +27,7 @@ from purecheck import (
     run_suite,
 )
 from purecheck.cli import main
+from purecheck import runner
 from purecheck.runner import EntryResult, verdict_name
 
 
@@ -110,36 +111,40 @@ def _recording_suite(seen, *, interrupt=False):
 
 
 def test_run_suite_keeps_the_collector_off_the_pre_run_heap():
-    assert gc.isenabled() and gc.get_freeze_count() == 0
+    # nothing frozen but what the interpreter may have frozen itself
+    before = gc.get_freeze_count()
+    assert gc.isenabled() and before in (0, runner._STARTUP_FROZEN)
     seen = []
     suite, pre_run = _recording_suite(seen)
     assert exit_code(run_suite(suite, 1)) == 0
     (count1, tracked1), (count2, tracked2, left_tracked) = seen
-    assert count1 > 0 and not tracked1
+    assert count1 > before and not tracked1
     assert count2 > count1 and not tracked2 and not left_tracked
     # the caller's state is restored: nothing frozen, everything traversed
     assert gc.isenabled() and gc.get_freeze_count() == 0 and _is_tracked(pre_run)
 
 
 def test_run_suite_unfreezes_after_an_interrupt():
+    before = gc.get_freeze_count()
     seen = []
     suite, pre_run = _recording_suite(seen, interrupt=True)
     with pytest.raises(KeyboardInterrupt):
         run_suite(suite, 1)
-    assert len(seen) == 2 and seen[1][0] > 0
+    assert len(seen) == 2 and seen[1][0] > before
     assert gc.isenabled() and gc.get_freeze_count() == 0 and _is_tracked(pre_run)
 
 
 def test_run_suite_freezes_nothing_when_the_collector_is_disabled():
+    before = gc.get_freeze_count()
     seen = []
     suite, pre_run = _recording_suite(seen)
     gc.disable()
     try:
         run_suite(suite, 1)
-        assert not gc.isenabled() and gc.get_freeze_count() == 0
+        assert not gc.isenabled() and gc.get_freeze_count() == before
     finally:
         gc.enable()
-    assert seen == [(0, True), (0, True, True)]
+    assert seen == [(before, True), (before, True, True)]
 
 
 def test_run_suite_leaves_a_callers_frozen_objects_alone():
@@ -154,6 +159,24 @@ def test_run_suite_leaves_a_callers_frozen_objects_alone():
         gc.unfreeze()
     # the caller froze `pre_run` itself; the run froze nothing more
     assert seen == [(frozen, False), (frozen, False, True)]
+
+
+def test_run_suite_freezes_beside_the_interpreters_own_frozen_objects(monkeypatch):
+    # objects frozen before `purecheck` was imported, as CPython 3.12.1
+    # starts with some, are not a caller's: the run freezes the heap beside
+    # them, and its closing unfreeze hands them back to the collector too
+    seen = []
+    suite, pre_run = _recording_suite(seen)
+    gc.freeze()
+    try:
+        startup = gc.get_freeze_count()
+        monkeypatch.setattr(runner, "_STARTUP_FROZEN", startup)
+        run_suite(suite, 1)
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+    finally:
+        gc.unfreeze()
+    (count1, _), (count2, _, left_tracked) = seen
+    assert count1 > startup and count2 > count1 and not left_tracked
 
 
 def test_exit_codes():
