@@ -255,42 +255,40 @@ def conjoin(*checks: Check) -> Check:
 def check_with(g: Generator, p: Union[Meta, Callable]) -> Check:
     """Check a predicate on the first ``n`` samples of ``g``, ``n`` the budget.
 
-    Samples are enumerated one at a time and the check stops at the first
-    one that does not hold, so a counterexample costs only the samples
-    before it.  The first thing that goes wrong in enumeration order
-    decides: a counterexample before a sample whose enumeration raises is
-    ``Falsified``, the raise itself a ``TacticalError``.  A budget of zero
-    (or less) produces no samples and therefore holds vacuously — "no
-    evidence" is not a failure.
+    Each perform reads the samples one at a time from a new iterator over
+    ``g`` and stops at the first one that does not hold, so a
+    counterexample costs only the samples before it.  A memoised generator
+    replays its memo and enumerates only past it; a product rebuilds its
+    tuples from its marginals' memos on every perform.  The first thing
+    that goes wrong in enumeration order decides: a counterexample before
+    a sample whose enumeration raises is ``Falsified``, the raise itself a
+    ``TacticalError``.  A budget of zero (or less) produces no samples and
+    therefore holds vacuously — "no evidence" is not a failure.
     """
     fn = p.reflect if isinstance(p, Meta) else p
     # any other iterable is read as the stream of a generator
     stream = g if isinstance(g, Generator) else Generator(lambda: g)
 
     def perform(n: int) -> Verdict:
-        # read the memo by index, pulling one sample only at its frontier
-        memo = stream._upto(0)
-        i = 0
-        while i < n:
-            if i == len(memo):
+        # the range comes first, so the stream is not pulled past the budget
+        samples = zip(range(n), stream)
+        # the body's exceptions are caught inside the loop, so what reaches
+        # the outer handler was raised by the enumeration
+        try:
+            for _, x in samples:
                 try:
-                    if not stream._pull():
-                        break
-                except Exception as e:  # noqa: BLE001 — sampling failure is a verdict, not a crash
-                    return TacticalError(f"sample enumeration failed: {_raised(e)}")
-            x = memo[i]
-            i += 1
-            try:
-                result = fn(x)
-            except Exception as e:  # noqa: BLE001
-                return LogicalError(f"body raised on {_shown(x)}: {_raised(e)}")
-            if result is True:
-                continue
-            if result is False:
-                return Falsified(_shown(x))
-            return LogicalError(
-                f"body returned {type(result).__name__}, not bool, on {_shown(x)}"
-            )
+                    result = fn(x)
+                except Exception as e:  # noqa: BLE001
+                    return LogicalError(f"body raised on {_shown(x)}: {_raised(e)}")
+                if result is True:
+                    continue
+                if result is False:
+                    return Falsified(_shown(x))
+                return LogicalError(
+                    f"body returned {type(result).__name__}, not bool, on {_shown(x)}"
+                )
+        except Exception as e:  # noqa: BLE001 — sampling failure is a verdict, not a crash
+            return TacticalError(f"sample enumeration failed: {_raised(e)}")
         return Holds()
 
     return Check(perform)

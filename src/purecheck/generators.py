@@ -3,10 +3,10 @@
 A :class:`Generator` is a memoised, restartable stream of samples, built
 from a factory of iterators.  One method, ``_pull``, appends one sample
 to the memo from one live iterator; iterating replays the memo and pulls
-at its frontier, so each sample is enumerated at most once per generator
-per process, and ``generate(n)`` is the memo's first ``n`` samples.  The
-factory is called on the first pull, which installs its iterator as the
-live one, so every later pull is one ``next`` on the factory's own
+at its frontier, so a memoised generator enumerates each sample at most
+once per process, and ``generate(n)`` is the memo's first ``n`` samples.
+The factory is called on the first pull, which installs its iterator as
+the live one, so every later pull is one ``next`` on the factory's own
 iterator.
 Every generator exported here upholds four guarantees:
 
@@ -19,9 +19,10 @@ Every generator exported here upholds four guarantees:
 The first three hold by construction: every budget reads a prefix of one
 fixed stream.  Together they make quantified checks reproducible and
 monotone: raising the budget can only expose new counterexamples, never
-hide one that a smaller budget already found.  The price is memory: a
-generator keeps every sample it has enumerated, so a process holds as many
-samples as the highest budget it has asked of each generator.
+hide one that a smaller budget already found.  The price of a memo is
+memory: a memoised generator keeps every sample it has enumerated, so a
+process holds as many samples as the highest budget it has asked of
+each one.
 
 Products are enumerated in *max-index shells* rather than by nesting
 loops: shell ``m`` holds the tuples whose largest marginal index is
@@ -38,6 +39,14 @@ the marginal's own memo.  A shell is a few blocks of column slices
 (``itertools.chain.from_iterable``) of each block's
 ``itertools.product``: no Python frame runs per tuple, only one per
 block.
+
+So a product keeps no memo of its own: every tuple is rebuilt from its
+marginals' memos, and iterating a product or asking it for
+``generate(n)`` runs `_shells` afresh.  A product shared by several
+checks is enumerated once per check (``pairs_g`` in
+`purecheck.editor.adequacy_suite`, once for each of its three entries).
+Only a reader that takes a product by index, as an enclosing product
+does, fills the product's memo, and only with the prefix it reads.
 """
 
 from __future__ import annotations
@@ -247,6 +256,22 @@ def _shells(cols: tuple) -> Iterator[tuple]:
     return itertools.chain.from_iterable(blocks())
 
 
+class _Product(Generator):
+    """The product of the marginals ``cols`` in max-index shells, with no
+    memo of its own: iterating it and ``generate(n)`` run `_shells`
+    afresh over the marginals' memos and store nothing.  Only `_upto`,
+    through which an enclosing product reads it by index, fills its memo."""
+
+    def __init__(self, cols: tuple):
+        super().__init__(lambda: _shells(cols))
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self._make()
+
+    def generate(self, n: int) -> list:
+        return list(itertools.islice(self._make(), max(n, 0)))
+
+
 def gpair(g: Generator, h: Generator) -> Generator:
     """Cartesian product in square-shell order.
 
@@ -255,7 +280,7 @@ def gpair(g: Generator, h: Generator) -> Generator:
     ``(x_k, y_k)``: the index pairs whose larger index is ``k``, in
     lexicographic order (see `_shells`).
     """
-    return Generator(lambda: _shells((g, h)))
+    return _Product((g, h))
 
 
 def gmap(f: Callable[[Any], Any], g: Generator) -> Generator:
@@ -275,7 +300,7 @@ def gtriple(g: Generator, h: Generator, k: Generator) -> Generator:
     distinct values (14, 15 and 15 over three ``integers()`` at 3000;
     31, 32 and 32 at 30000).
     """
-    return Generator(lambda: _shells((g, h, k)))
+    return _Product((g, h, k))
 
 
 _EXHAUSTED = object()
@@ -334,7 +359,7 @@ def default_generator(t: Any) -> Generator:
         if not args or args == ((),) or args[-1] is Ellipsis:
             raise KeyError(f"no default generator for {t!r}")
         parts = tuple(default_generator(a) for a in args)
-        return Generator(lambda: _shells(parts))
+        return _Product(parts)
     if origin is list:
         args = typing.get_args(t)
         if len(args) != 1:

@@ -58,6 +58,15 @@ def test_zero_budget_is_vacuous():
     assert c.perform(0) == Holds()
 
 
+def test_any_integer_budget_reads_a_prefix():
+    # a negative budget reads nothing, and one past `sys.maxsize` reads a
+    # finite bound, a product among them, to its end
+    assert check_with(integers(), lambda x: False).perform(-(2**70)) == Holds()
+    assert check_with(from_values([1, 2]), lambda x: x != 2).perform(2**70) == Falsified("2")
+    pairs = gpair(from_values([1, 2]), from_values([3]))
+    assert check_with(pairs, lambda xy: True).perform(2**70) == Holds()
+
+
 def test_budget_too_small_to_reach_counterexample():
     c = check_with(integers(), lambda x: x >= 0)
     assert c.perform(2) == Holds()  # sees only 0, 1

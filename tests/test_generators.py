@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from purecheck import (
     Generator,
+    Holds,
+    TacticalError,
     booleans,
     characters,
+    check_with,
     default_generator,
     from_values,
     gmap,
@@ -172,6 +175,73 @@ def test_gpair_pulls_about_sqrt_n_from_each_marginal():
         assert len(gpair(_counting(left), _counting(right)).generate(n)) == n
         assert len(left) <= math.isqrt(n) + 1
         assert len(right) <= math.isqrt(n) + 1
+        # a product keeps no memo: a perform and a generate rebuild its
+        # tuples from the marginals' memos, which hold no more than before
+        a, b = _counting([]), _counting([])
+        product = gpair(a, b)
+        assert check_with(product, lambda xy: True).perform(n) == Holds()
+        assert len(product.generate(n)) == n and product._memo == []
+        assert len(a._memo) <= math.isqrt(n) + 1 and len(b._memo) <= math.isqrt(n) + 1
+
+
+def test_an_inner_product_memoises_only_the_prefix_the_outer_one_read():
+    for n in (1, 2, 9, 10, 100, 3000):
+        inner = gpair(naturals(), integers())
+        outer = gpair(inner, strings())
+        got = outer.generate(n)
+        xs, ys = inner.generate(n), strings().generate(n)
+        assert got == [(xs[i], ys[j]) for i, j in _shell_order((None, None), n)]
+        # shell m of the outer product reads the inner one up to index m
+        assert inner._memo == inner.generate(math.isqrt(n - 1) + 1) and outer._memo == []
+        assert {xy for xy, _ in got} <= set(inner._memo)
+
+
+def test_a_raising_marginal_makes_every_fresh_product_raise_at_the_same_index():
+    def make():
+        yield from range(3)
+        raise RuntimeError("no sample 3")
+
+    # shell 3 of a pair begins at index 9 and pulls sample 3 of each marginal
+    marginal = Generator(make)
+    expected = gpair(from_values(range(3)), naturals()).generate(9)
+    verdicts = []
+    for _ in range(3):
+        product = gpair(marginal, naturals())
+        assert product.generate(9) == expected
+        with pytest.raises(RuntimeError, match="no sample 3"):
+            product.generate(10)
+        with pytest.raises(RuntimeError, match="no sample 3"):
+            list(product)
+        seen = []
+        c = check_with(product, lambda xy: seen.append(xy) is None)
+        assert c.perform(10) == c.perform(10) and seen == expected * 2
+        verdicts.append(c.perform(10))
+    assert verdicts == [TacticalError("sample enumeration failed: RuntimeError('no sample 3')")] * 3
+
+
+def test_an_interrupted_product_enumerates_the_uninterrupted_samples_next():
+    def interrupted_at(k):
+        calls = []
+
+        def make():
+            calls.append(None)
+            for x in itertools.count():
+                if x == k and len(calls) == 1:
+                    raise KeyboardInterrupt
+                yield x
+
+        return Generator(make)
+
+    for n in (10, 100):
+        flat = gpair(interrupted_at(3), naturals())
+        with pytest.raises(KeyboardInterrupt):
+            flat.generate(n)
+        assert flat.generate(n) == gpair(naturals(), naturals()).generate(n)
+        # interrupted inside the inner product's own memo
+        nested = gpair(gpair(interrupted_at(1), naturals()), naturals())
+        with pytest.raises(KeyboardInterrupt):
+            nested.generate(n)
+        assert nested.generate(n) == gpair(gpair(naturals(), naturals()), naturals()).generate(n)
 
 
 def test_gpair_matches_the_full_square_shell_order():

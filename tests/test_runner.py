@@ -602,14 +602,18 @@ def test_cli_oracle_reports_missing_file(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def _default_suite_digest(confidence):
-    # sha256 of the JSON report with timings dropped, in canonical form:
+def _timing_free_digest(text):
+    # sha256 of a JSON report with timings dropped, in canonical form:
     # any change to a verdict, counterexample or entry shows here
-    doc = json.loads(report_json(run_suite(default_suite(), confidence)))
+    doc = json.loads(text)
     for entry in doc["entries"]:
         del entry["ms"]
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _default_suite_digest(confidence):
+    return _timing_free_digest(report_json(run_suite(default_suite(), confidence)))
 
 
 def test_default_suite_report_is_unchanged_at_confidence_100():
@@ -619,6 +623,40 @@ def test_default_suite_report_is_unchanged_at_confidence_100():
 def test_default_suite_report_is_unchanged_at_confidence_1000_and_3000():
     assert _default_suite_digest(1000) == "3540e3988e84dfc3a3217746cff64486cfa99861a2b8a77388b54ac967d3dc95"
     assert _default_suite_digest(3000) == "2eab542ab7178328339eadb97196635fbd2b19cbfff33d1f5c90166a8e072377"
+
+
+_MEMO_ENTRIES = """
+import gc
+from purecheck.generators import Generator
+from purecheck.runner import default_suite, report_json, run_suite
+
+suite = default_suite()
+text = report_json(run_suite(suite, 3000))
+print(sum(len(g._memo) for g in gc.get_objects() if isinstance(g, Generator)))
+print(text)
+"""
+
+
+def test_the_default_suite_at_3000_keeps_only_its_marginals_memos():
+    # in a fresh interpreter, so that no other test's generators count, and
+    # with the suite alive, so that its products count too: a product
+    # rebuilds its tuples from its marginals' memos and keeps only the
+    # prefix that an enclosing product read by index (34,161 entries when
+    # every product kept all it produced)
+    import os
+    import sys
+
+    import purecheck
+
+    src = os.path.dirname(os.path.dirname(purecheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _MEMO_ENTRIES], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    entries, text = done.stdout.split("\n", 1)
+    assert int(entries) == 10050
+    assert _timing_free_digest(text) == "2eab542ab7178328339eadb97196635fbd2b19cbfff33d1f5c90166a8e072377"
 
 
 def test_run_suite_records_a_check_that_returns_no_verdict():
