@@ -48,6 +48,13 @@ class EditOp(Enum):
 INSERT, DELETE = EditOp.INSERT, EditOp.DELETE
 POSITIVE, NEGATIVE = Polarity.POSITIVE, Polarity.NEGATIVE
 
+# A literal over an edit is spelled as its polarity's mark, its op's value,
+# its position, ":" and its argument.  `render_literal` reads the mark here
+# and `render_edit` the op's value; `Word.__hash__` reads both at once from
+# `_PREFIX`, which is built from them.
+_MARK = {POSITIVE: "", NEGATIVE: "~"}
+_PREFIX = {polarity: {op: _MARK[polarity] + op.value for op in EditOp} for polarity in Polarity}
+
 
 # `Edit`, `Literal` and `Word` check their fields in a hand-written
 # `__init__`: one frame per object, where a generated `__init__` calling
@@ -72,6 +79,11 @@ class Edit:
         # longer argument would make it disagree with the string action
         if not isinstance(arg, str) or len(arg) != 1:
             raise ValueError(f"an edit's argument is one character, not {arg!r}")
+        # a subclass of `str` is kept as the plain string it holds: its own
+        # `__str__` or `__format__` would make `render`, and so the hash of
+        # a word, spell another text than the one `==` compares
+        if type(arg) is not str:
+            arg = str.__str__(arg)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "arg", arg)
@@ -98,8 +110,9 @@ class Word:
     """A sequence of polarized literals, applied left to right."""
 
     literals: Tuple[Literal, ...] = ()
-    # filled by the first `__hash__`; hash values depend on the process's
-    # hash seed, so `__reduce__` leaves it out of pickled and copied state
+    # filled by `parse_word` or by the first `__hash__`; hash values depend
+    # on the process's hash seed, so `__reduce__` leaves it out of pickled
+    # and copied state
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, literals: Iterable[Any] = ()):
@@ -107,21 +120,25 @@ class Word:
         object.__setattr__(self, "_hash", None)
 
     def __hash__(self) -> int:
-        # one flat tuple: a literal over an edit contributes its four fields,
-        # not its own and its edit's generated hashes, two frames per literal;
-        # any other entry hashes as itself
+        # a word of literals over edits hashes as its text, spelled as
+        # `render_word` spells it: `parse_word` stores that hash from the
+        # text it read.  Any other entry leaves a `None` that `join`
+        # refuses, and such a word hashes its entries.
         h = self._hash
         if h is None:
-            h = hash(
-                tuple(
-                    [
-                        (lit.polarity, e.op, e.pos, e.arg)
-                        if type(lit) is Literal and type(e := lit.atom) is Edit
-                        else lit
-                        for lit in self.literals
-                    ]
+            try:
+                h = hash(
+                    ",".join(
+                        [
+                            f"{_PREFIX[lit.polarity][e.op]}{e.pos}:{e.arg}"
+                            if type(lit) is Literal and type(e := lit.atom) is Edit
+                            else None
+                            for lit in self.literals
+                        ]
+                    )
                 )
-            )
+            except TypeError:
+                h = hash(self.literals)
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -276,10 +293,11 @@ def from_list(edits: Iterable[Edit]) -> Word:
 # a "~" prefix marks a negative-polarity literal).  The argument is the one
 # character after ':', whatever it is, so "+0: " inserts a space and
 # "+0:," a comma.  A word joins its literals with ","; parsing also allows
-# whitespace around each ",", so a rendered word of literals over edits
-# parses back to an equal word.  Other entries do not: a nested word's
-# parentheses make `parse_word` raise `ValueError`, and a bare `Edit`
-# parses back as its positive literal.
+# whitespace around each ",", so a rendered word of literals over edits at
+# non-negative positions parses back to an equal word.  Nothing else does:
+# a negative position renders as "+-3:a", which the parser rejects, a
+# nested word's parentheses make `parse_word` raise `ValueError`, and a
+# bare `Edit` parses back as its positive literal.
 
 # A position is `0` or ASCII digits without a leading zero, as `render`
 # writes it: `int` reads "٣" as 3 (in a `str` pattern `\d` matches every
@@ -301,8 +319,7 @@ def _render_entry(x: Any) -> str:
 
 @render.register(Literal)
 def render_literal(lit: Literal) -> str:
-    mark = "" if lit.polarity is Polarity.POSITIVE else "~"
-    return mark + _render_entry(lit.atom)
+    return _MARK[lit.polarity] + _render_entry(lit.atom)
 
 
 @render.register(Word)
@@ -348,9 +365,14 @@ def _literal(text: str) -> Literal:
 def parse_word(text: str) -> Word:
     if type(text) is str:
         try:
-            return Word(map(_literal, text.split(",")))
+            w = Word(map(_literal, text.split(",")))
         except ValueError:
             pass
+        else:
+            # `_literal` admits only a literal spelled as `render` spells it,
+            # so `text` is the word's rendering and its hash the word's hash
+            object.__setattr__(w, "_hash", hash(text))
+            return w
     tokens = _tokens(text)
     if tokens is None:
         raise ValueError(f"not a word: {text!r}")

@@ -152,6 +152,19 @@ def test_edit_argument_is_one_character(arg):
         replace(Edit(EditOp.DELETE, 0, "a"), arg=arg)
 
 
+def test_an_edit_keeps_a_str_subclass_argument_as_plain_text():
+    # rendered through the subclass's `__str__`, the word below spelled
+    # "+1:zz", and hashed apart from the equal word over "a"
+    class Shown(str):
+        def __str__(self):
+            return "zz"
+
+    e = Edit(EditOp.INSERT, 1, Shown("a"))
+    assert type(e.arg) is str and e == Edit(EditOp.INSERT, 1, "a")
+    w = Word((Literal(Polarity.POSITIVE, e),))
+    assert render(w) == "+1:a" and hash(w) == hash(parse_word("+1:a"))
+
+
 @pytest.mark.parametrize(
     "op, pos",
     [
@@ -458,6 +471,10 @@ def test_only_words_of_literals_over_edits_parse_back():
     # a bare edit renders as its positive literal, and parses back as one
     bare = Word((e, f))
     assert parse_word(render(bare)) == from_list([e, f]) != bare
+    # a negative position renders, but a position is digits, so the text
+    # does not parse
+    with pytest.raises(ValueError):
+        parse_word(render(Word((lit(EditOp.INSERT, -3, "a"),))))
 
 
 # positions are ASCII digits without a leading zero: `int` reads any Unicode
@@ -631,8 +648,11 @@ def _respelled(w):
         Literal(x.polarity, Edit(x.atom.op, x.atom.pos, x.atom.arg)) if flat else x for x in w.literals
     )
     out = [Word(fresh), Word(tuple(w.literals)), pickle.loads(pickle.dumps(w))]
-    if flat:
+    if flat and all(x.atom.pos >= 0 for x in w.literals):
+        # one split on "," unless an argument is ","; with whitespace around
+        # the separators, always the regex split
         out.append(parse_word(render_word(w)))
+        out.append(parse_word(" " + " , ".join(map(render, w.literals)) + "\n"))
         if all(x.polarity is Polarity.POSITIVE for x in w.literals):
             out.append(from_list(x.atom for x in w.literals))
     return out
@@ -648,13 +668,34 @@ def test_a_word_hashes_as_it_compares_in_every_spelling():
         Word((Literal(Polarity.NEGATIVE, _Foreign("f")), lit(EditOp.DELETE, 3, "c"))),
         Word((_Foreign("g"),)),
     ]
-    ws = [*words.generate(3000), *_stream_like_words(random.Random(5), 500), *mixed]
+    # arguments that are the separator or whitespace, and a negative
+    # position, which renders but does not parse
+    odd = [
+        parse_word("+1:,,~-0:a"),
+        parse_word("+0: ,~+2:,"),
+        parse_word("-3:\n,+1: ,+1:,"),
+        Word((lit(EditOp.INSERT, -3, "a"), lit(EditOp.DELETE, 1, ",", neg=True))),
+    ]
+    ws = [*words.generate(3000), *_stream_like_words(random.Random(5), 500), *mixed, *odd]
     for w in ws:
         for other in _respelled(w):
             assert other == w and hash(other) == hash(w), render_word(w)
-    # the flat hash still tells apart what compares different
+    # the text hash still tells apart what compares different
     assert len(set(ws)) == len(set(map(repr, ws))) > 3000
     assert Word((a,)) != Word((Literal(Polarity.POSITIVE, a),))
+
+
+def test_only_the_one_split_parse_hands_over_its_hash():
+    # a text whose pieces between commas are each one literal is the word's
+    # rendering, so the parse stores its hash; the regex split, taken for
+    # whitespace around a separator or a "," argument, leaves it to the
+    # first `hash`
+    text = "+0:a,~-1:b,+2: "
+    w = parse_word(text)
+    assert w._hash == hash(text) == hash(Word(w.literals))
+    for other in (" +0:a , ~-1:b,+2: ", "+1:,,+0:a", "+1:,", ""):
+        assert parse_word(other)._hash is None, other
+    assert hash(parse_word("+1:,,+0:a")) == hash("+1:,,+0:a")
 
 
 def _in_python(code, seed, stdin=b""):
