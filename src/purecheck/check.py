@@ -31,9 +31,9 @@ under test, while either error verdict is news about the test itself.
 from __future__ import annotations
 
 import functools
-import inspect
+import operator
+import types
 import typing
-from dataclasses import FrozenInstanceError
 from typing import Any, Callable, Optional, Union
 
 from .generators import Generator, default_generator, gpair
@@ -42,28 +42,53 @@ from .generators import Generator, default_generator, gpair
 # frozen values
 
 
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning or deleting an attribute of a frozen value."""
+
+
 class _Value:
-    """A frozen record whose fields are its class's own annotations, in
-    order: the behaviour of ``@dataclass(frozen=True)`` without generating
-    and compiling methods for each class.
+    """A frozen record whose fields are its bases' fields followed by its
+    class's own annotations, in order: the behaviour of
+    ``@dataclass(frozen=True)`` without generating and compiling methods
+    for each class.
 
     Fields are given by position or keyword, and a class attribute of a
     field's name is its default.  ``==`` compares the field tuples of two
     instances of one class (against any other class it returns
     `NotImplemented`), `hash` is the field tuple's, and `repr` and
     ``__match_args__`` are the dataclass ones.  Assigning or deleting an
-    attribute raises `dataclasses.FrozenInstanceError`; `copy` and `pickle`
-    restore the instance ``__dict__``.  `dataclasses.replace` and
-    `dataclasses.fields` do not apply.
+    attribute raises `FrozenInstanceError`.  `copy`, `pickle` and
+    ``__replace__`` (which `copy.replace` calls on 3.13+) build a new
+    instance through the class's constructor, so a class that checks its
+    fields checks them there too.
+
+    A class may declare ``__slots__`` for its fields.  A slot with no
+    annotation holds state that is not a field: it takes no part in
+    ``==``, `hash`, `repr`, ``__match_args__`` or a copy.
     """
 
+    __slots__ = ()
     __match_args__: tuple = ()
     _defaults: dict = {}
 
     def __init_subclass__(cls) -> None:
-        names = tuple(cls.__dict__.get("__annotations__", ()))
+        # the bases' fields first, then the new ones; a slot's descriptor in
+        # the class dict is where a field lives, not its default
+        names, defaults, own = cls.__match_args__, dict(cls._defaults), cls.__dict__
+        for name in own.get("__annotations__", ()):
+            if name not in names:
+                names += (name,)
+            if name in own and type(own[name]) is not types.MemberDescriptorType:
+                defaults[name] = own[name]
         cls.__match_args__ = names
-        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        cls._defaults = defaults
+        # `_values(x)` is the field tuple of `x`; `attrgetter` gives a tuple
+        # only for two names or more
+        if len(names) > 1:
+            cls._values = staticmethod(operator.attrgetter(*names))
+        elif names:
+            get = operator.attrgetter(*names)
+            cls._values = staticmethod(lambda x: (get(x),))
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         names = self.__match_args__
@@ -87,16 +112,18 @@ class _Value:
             raise TypeError(f"{cls.__name__}() takes {shown}, each once, by position or keyword")
         return tuple(map(values.__getitem__, names))
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
+    @staticmethod
+    def _values(x: Any) -> tuple:
+        return ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
@@ -107,6 +134,14 @@ class _Value:
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._values(self))
+
+    def __replace__(self, **changes: Any) -> _Value:
+        """A copy with the ``changes`` fields given new values, built by the
+        class's constructor; the name `copy.replace` calls on 3.13+."""
+        return self.__class__(**dict(zip(self.__match_args__, self._values(self)), **changes))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +418,8 @@ def check(p: Meta) -> Check:
 
 
 def _domain_of(fn: Callable) -> Generator:
+    import inspect  # here, not at the top: the package's import does not load it
+
     sig = inspect.signature(fn)
     params = list(sig.parameters.values())
     if not params:

@@ -51,7 +51,6 @@ the machinery of :mod:`purecheck.check`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -83,22 +82,21 @@ def _length(steps: Sequence[Step]) -> int:
     return n
 
 
-@dataclass(frozen=True, init=False)
-class Ins:
+class Ins(_Value):
     """An insertion chain: ``prefixes[k]`` is emitted before ``steps[k]``,
     and the last prefix before the rest of the input is echoed.  ``length``
     is the number of input characters the steps consume, the length of the
-    pattern; it is fixed by ``steps``, so it takes no part in equality or
-    in the text of `repr`.
+    pattern; it is fixed by ``steps``, so it is not a field: it takes no
+    part in equality, `hash`, `repr` or a copy.
 
     There is one prefix more than there are steps, each prefix is a `str`,
     and each step is one character or an int of at least 1; any other shape
     raises `ValueError`.  Whether the chain is in normal form is
     `is_normal`'s question."""
 
+    __slots__ = ("prefixes", "steps", "length")
     prefixes: Tuple[str, ...]
     steps: Tuple[Step, ...]
-    length: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, prefixes: Sequence[str], steps: Sequence[Step]) -> None:
         prefixes, steps = tuple(prefixes), tuple(steps)
@@ -111,8 +109,9 @@ class Ins:
         except TypeError:
             bad = next(p for p in prefixes if not isinstance(p, str))
             raise ValueError(f"a prefix is a str, not {bad!r}") from None
-        # one write past the frozen `__setattr__`, not one call per field
-        self.__dict__.update(prefixes=prefixes, steps=steps, length=_length(steps))
+        object.__setattr__(self, "prefixes", prefixes)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "length", _length(steps))
 
 
 class Fail(_Value):

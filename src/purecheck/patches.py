@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, List, Optional, Tuple
 
 from . import generators
-from .check import render
+from .check import _Value, render
 from .generators import gmap, gpair, lists_of, register_default
 
 
@@ -57,14 +56,15 @@ _PREFIX = {polarity: {op: _MARK[polarity] + op.value for op in EditOp} for polar
 
 
 # `Edit`, `Literal` and `Word` check their fields in a hand-written
-# `__init__`: one frame per object, where a generated `__init__` calling
-# `__post_init__` takes two.  `dataclasses.replace` calls it by keyword.
+# `__init__`: one frame per object, where the general argument binding of
+# `_Value` takes more.  `__replace__`, copies and pickles call it by keyword
+# or by position.
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Edit:
+class Edit(_Value):
     """Insert or delete one character at a 0-based position."""
 
+    __slots__ = ("op", "pos", "arg")
     op: EditOp
     pos: int
     arg: str
@@ -89,10 +89,10 @@ class Edit:
         object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Literal:
+class Literal(_Value):
     """A patch with a direction: positive applies, negative un-applies."""
 
+    __slots__ = ("polarity", "atom")
     polarity: Polarity
     atom: Any
 
@@ -105,15 +105,14 @@ class Literal:
         object.__setattr__(self, "atom", atom)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Word:
+class Word(_Value):
     """A sequence of polarized literals, applied left to right."""
 
-    literals: Tuple[Literal, ...] = ()
-    # filled by `parse_word` or by the first `__hash__`; hash values depend
-    # on the process's hash seed, so `__reduce__` leaves it out of pickled
-    # and copied state
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    # `_hash` is not a field: it is filled by `parse_word` or by the first
+    # `__hash__`, and hash values depend on the process's hash seed, so
+    # pickled and copied state, which is the fields, leaves it out
+    __slots__ = ("literals", "_hash")
+    literals: Tuple[Literal, ...]
 
     def __init__(self, literals: Iterable[Any] = ()):
         object.__setattr__(self, "literals", tuple(literals))
@@ -141,9 +140,6 @@ class Word:
                 h = hash(self.literals)
             object.__setattr__(self, "_hash", h)
         return h
-
-    def __reduce__(self):
-        return (Word, (self.literals,))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import gc
 import itertools
-import json
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -39,7 +38,9 @@ class Suite:
     def register(self, name: str, chk: Check, tags: Iterable[str] = ()) -> None:
         if name in self._entries:
             raise ValueError(f"duplicate suite entry: {name!r}")
-        self._entries[name] = SuiteEntry(name, chk, tuple(tags))
+        # a `str` is one tag, not the tags of its characters
+        tags = (tags,) if isinstance(tags, str) else tuple(tags)
+        self._entries[name] = SuiteEntry(name, chk, tags)
 
     def entries(self) -> List[SuiteEntry]:
         return list(self._entries.values())
@@ -151,6 +152,8 @@ def exit_code(report: Report) -> int:
 
 
 def report_json(report: Report) -> str:
+    import json  # here, not at the top: the package's import does not load it
+
     payload = {
         "entries": [
             {

@@ -30,6 +30,7 @@ from purecheck import (
     run_suite,
     strings,
 )
+from purecheck.check import FrozenInstanceError
 from purecheck.generators import Char
 
 
@@ -630,8 +631,6 @@ def test_a_sample_whose_render_raises_an_unrepresentable_exception_keeps_its_ver
 
 
 def test_meta_is_a_frozen_value():
-    from dataclasses import FrozenInstanceError
-
     m = Meta([1])
     with pytest.raises(FrozenInstanceError):
         m.reflect = 2

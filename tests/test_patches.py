@@ -1,13 +1,14 @@
 """String edits, polarized literals, words, inversion, and the group action
 on ordinary strings.
 """
+import copy
 import os
 import pickle
 import random
 import re
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -42,8 +43,15 @@ from purecheck import (
     undo,
     words,
 )
+from purecheck.check import FrozenInstanceError
 from purecheck.editor import DONE, Ins, editor_action
 from purecheck.patches import _LITERAL, _literal, act, splice
+
+#: each way to replace a value's fields: its `__replace__`, and on 3.13+
+#: `copy.replace`, which calls it
+REPLACES = [lambda x, **changes: x.__replace__(**changes)]
+if sys.version_info >= (3, 13):
+    REPLACES.append(copy.replace)
 
 # -- handy strategies -------------------------------------------------------
 
@@ -149,7 +157,8 @@ def test_edit_argument_is_one_character(arg):
     with pytest.raises(ValueError, match="one character"):
         Edit(EditOp.DELETE, 0, arg)
     with pytest.raises(ValueError, match="one character"):
-        replace(Edit(EditOp.DELETE, 0, "a"), arg=arg)
+        for replace in REPLACES:
+            replace(Edit(EditOp.DELETE, 0, "a"), arg=arg)
 
 
 def test_an_edit_keeps_a_str_subclass_argument_as_plain_text():
@@ -178,7 +187,8 @@ def test_edit_op_and_position_have_the_model_types(op, pos):
     with pytest.raises(ValueError, match="an EditOp at an int position"):
         Edit(op, pos, "x")
     with pytest.raises(ValueError, match="an EditOp at an int position"):
-        replace(Edit(EditOp.INSERT, 0, "x"), op=op, pos=pos)
+        for replace in REPLACES:
+            replace(Edit(EditOp.INSERT, 0, "x"), op=op, pos=pos)
 
 
 @pytest.mark.parametrize(
@@ -193,13 +203,12 @@ def test_literal_polarity_is_a_polarity(polarity):
     with pytest.raises(ValueError, match="polarity is a Polarity"):
         Literal(polarity, Edit(EditOp.INSERT, 0, "b"))
     with pytest.raises(ValueError, match="polarity is a Polarity"):
-        replace(lit(EditOp.INSERT, 0, "b"), polarity=polarity)
+        for replace in REPLACES:
+            replace(lit(EditOp.INSERT, 0, "b"), polarity=polarity)
 
 
 def test_fields_are_checked_and_frozen_however_built():
     e = Edit(op=EditOp.INSERT, pos=2, arg="a")
-    assert replace(e, pos=3) == Edit(EditOp.INSERT, 3, "a")
-    assert replace(Literal(Polarity.POSITIVE, e), atom=Word()) == Literal(Polarity.POSITIVE, Word(()))
     with pytest.raises(FrozenInstanceError):
         e.pos = 3
     # a word stores its entries as a tuple, whatever iterable it is given
@@ -207,11 +216,15 @@ def test_fields_are_checked_and_frozen_however_built():
     for spelling in (ls, iter(ls), (x for x in ls), dict.fromkeys(ls)):
         built = Word(spelling)
         assert type(built.literals) is tuple and built == Word(tuple(ls))
-    assert Word().literals == () and type(replace(Word(), literals=ls).literals) is tuple
-    w = Word(ls)
-    hash(w)  # the cached hash is not carried over
-    shorter = replace(w, literals=ls[:1])
-    assert shorter == Word(ls[:1]) and hash(shorter) == hash(Word(ls[:1]))
+    assert Word().literals == ()
+    for replace in REPLACES:
+        assert replace(e, pos=3) == Edit(EditOp.INSERT, 3, "a")
+        assert replace(Literal(Polarity.POSITIVE, e), atom=Word()) == Literal(Polarity.POSITIVE, Word(()))
+        assert type(replace(Word(), literals=ls).literals) is tuple
+        w = Word(ls)
+        hash(w)  # the cached hash is not carried over
+        shorter = replace(w, literals=ls[:1])
+        assert shorter == Word(ls[:1]) and hash(shorter) == hash(Word(ls[:1]))
 
 
 # -- the action on strings ---------------------------------------------------

@@ -26,8 +26,8 @@ from purecheck import (
     report_text,
     run_suite,
 )
+from purecheck import cli, runner
 from purecheck.cli import main
-from purecheck import runner
 from purecheck.runner import EntryResult, verdict_name
 
 
@@ -46,6 +46,16 @@ def test_register_rejects_duplicates():
     s.register("x", conjoin(), ())
     with pytest.raises(ValueError):
         s.register("x", conjoin(), ())
+
+
+def test_a_str_registers_as_one_tag(monkeypatch, capsys):
+    s = Suite()
+    s.register("x", conjoin(), "axiom")
+    s.register("y", conjoin(), ["axiom", "law"])
+    assert [e.tags for e in s.entries()] == [("axiom",), ("axiom", "law")]
+    monkeypatch.setitem(cli._SUITES, "default", lambda: s)
+    assert main(["list", "--tags"]) == 0
+    assert capsys.readouterr().out == "x  [axiom]\ny  [axiom, law]\n"
 
 
 def test_run_suite_verdicts():
