@@ -52,6 +52,7 @@ does, fills the product's memo, and only with the prefix it reads.
 from __future__ import annotations
 
 import itertools
+import operator
 import typing
 from types import TracebackType
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -269,7 +270,8 @@ class _Product(Generator):
         return self._make()
 
     def generate(self, n: int) -> list:
-        return list(itertools.islice(self._make(), max(n, 0)))
+        # the range comes first, so the shells are not pulled past the budget
+        return list(map(operator.itemgetter(1), zip(range(n), self._make())))
 
 
 def gpair(g: Generator, h: Generator) -> Generator:

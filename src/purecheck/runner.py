@@ -11,7 +11,6 @@ anything was falsified, 2 when there were only logical/tactical errors.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -92,53 +91,25 @@ def _detail(v: object) -> str:
     return ""
 
 
-#: the objects the interpreter had frozen when this module was imported
-_STARTUP_FROZEN = gc.get_freeze_count()
-
-
 def run_suite(suite: Suite, confidence: int, name_filter: Optional[str] = None) -> Report:
     """Evaluate each (matching) entry at the given confidence.
 
     ``name_filter`` is a plain substring match on entry names.  The report
     is deterministic for fixed inputs, durations aside.
-
-    Collector policy: a collection during the run never traverses the heap
-    that existed before it, nor what earlier entries left alive (their
-    generators' memos above all).  ``gc.freeze()`` moves that heap out of
-    the collector's reach before the first entry and again after each
-    entry, and ``gc.unfreeze()`` hands it back when the run ends, however
-    it ends.  A caller that has disabled the collector, or has frozen
-    objects of its own, keeps its policy: the run then freezes nothing.
-
-    Objects frozen before this module was imported count as the
-    interpreter's own, not a caller's (CPython 3.12.1 starts with 375
-    immortal tuples frozen; 3.10, 3.11 and 3.13 with none).  A run
-    freezes as usual beside them, and its closing `gc.unfreeze()` hands
-    them to the collector too, so it leaves nothing frozen: being immortal,
-    they are never freed.
     """
-    freezing = gc.isenabled() and gc.get_freeze_count() in (0, _STARTUP_FROZEN)
     results: List[EntryResult] = []
-    try:
-        if freezing:
-            gc.freeze()
-        for entry in suite.entries():
-            if name_filter and name_filter not in entry.name:
-                continue
-            start = time.perf_counter()
-            try:
-                verdict = entry.check.perform(confidence)
-            except Exception as e:  # noqa: BLE001 — a crashing check must not kill the run
-                verdict = TacticalError(f"check evaluation raised: {_raised(e)}")
-            if not isinstance(verdict, tuple(_VERDICTS)):
-                verdict = TacticalError(f"check returned {type(verdict).__name__}, not a verdict")
-            ms = (time.perf_counter() - start) * 1000.0
-            results.append(EntryResult(entry.name, verdict, _detail(verdict), confidence, ms))
-            if freezing:
-                gc.freeze()
-    finally:
-        if freezing:
-            gc.unfreeze()
+    for entry in suite.entries():
+        if name_filter and name_filter not in entry.name:
+            continue
+        start = time.perf_counter()
+        try:
+            verdict = entry.check.perform(confidence)
+        except Exception as e:  # noqa: BLE001 — a crashing check must not kill the run
+            verdict = TacticalError(f"check evaluation raised: {_raised(e)}")
+        if not isinstance(verdict, tuple(_VERDICTS)):
+            verdict = TacticalError(f"check returned {type(verdict).__name__}, not a verdict")
+        ms = (time.perf_counter() - start) * 1000.0
+        results.append(EntryResult(entry.name, verdict, _detail(verdict), confidence, ms))
     return Report(tuple(results))
 
 

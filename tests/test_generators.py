@@ -69,6 +69,20 @@ def test_gpair_with_empty_marginal():
     assert gpair(booleans(), from_values([])).generate(10) == []
 
 
+def test_generate_reads_any_integer_budget():
+    # as `check_with` does: a negative budget reads nothing, and one past
+    # `sys.maxsize` reads a finite stream, a product among them, to its end
+    bits = from_values([1, 2])
+    assert bits.generate(-(2**70)) == [] and gpair(bits, bits).generate(-1) == []
+    assert bits.generate(2**64) == [1, 2]
+    assert gpair(bits, bits).generate(2**64) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert gtriple(bits, from_values([3]), bits).generate(2**64) == [(1, 3, 1), (1, 3, 2), (2, 3, 1), (2, 3, 2)]
+    assert default_generator(tuple[bool, bool]).generate(2**64) == gpair(booleans(), booleans()).generate(4)
+    for g in (bits, gpair(bits, bits)):
+        with pytest.raises(TypeError):
+            g.generate(2.0)
+
+
 def test_gpair_size_bound():
     g = gpair(integers(), integers())
     for n in range(1, 33):

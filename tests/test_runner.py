@@ -26,7 +26,7 @@ from purecheck import (
     report_text,
     run_suite,
 )
-from purecheck import cli, runner
+from purecheck import cli
 from purecheck.cli import main
 from purecheck.runner import EntryResult, verdict_name
 
@@ -95,71 +95,41 @@ def _is_tracked(x):
     return any(o is x for o in gc.get_objects())
 
 
-def _recording_suite(seen, *, interrupt=False):
-    """Two entries that record the freeze count, and whether the pre-run
-    object and the first entry's leftover are traversed, while they run."""
+def _recording_suite(seen):
+    """Two entries that record the freeze count, whether the pre-run object
+    is traversed, and whether what earlier entries left alive is."""
     from purecheck.check import Check
 
     pre_run = ["made before the run"]
     left = []
 
-    def first(n):
-        seen.append((gc.get_freeze_count(), _is_tracked(pre_run)))
-        left.append(["left alive by the first entry"])
-        return Holds()
-
-    def second(n):
-        seen.append((gc.get_freeze_count(), _is_tracked(pre_run), _is_tracked(left[0])))
-        if interrupt:
-            raise KeyboardInterrupt
+    def record(n):
+        seen.append((gc.get_freeze_count(), _is_tracked(pre_run), all(map(_is_tracked, left))))
+        left.append(["left alive by an entry"])
         return Holds()
 
     s = Suite()
-    s.register("first", Check(first))
-    s.register("second", Check(second))
-    return s, pre_run
-
-
-def test_run_suite_keeps_the_collector_off_the_pre_run_heap():
-    # nothing frozen but what the interpreter may have frozen itself
-    before = gc.get_freeze_count()
-    assert gc.isenabled() and before in (0, runner._STARTUP_FROZEN)
-    seen = []
-    suite, pre_run = _recording_suite(seen)
-    assert exit_code(run_suite(suite, 1)) == 0
-    (count1, tracked1), (count2, tracked2, left_tracked) = seen
-    assert count1 > before and not tracked1
-    assert count2 > count1 and not tracked2 and not left_tracked
-    # the caller's state is restored: nothing frozen, everything traversed
-    assert gc.isenabled() and gc.get_freeze_count() == 0 and _is_tracked(pre_run)
-
-
-def test_run_suite_unfreezes_after_an_interrupt():
-    before = gc.get_freeze_count()
-    seen = []
-    suite, pre_run = _recording_suite(seen, interrupt=True)
-    with pytest.raises(KeyboardInterrupt):
-        run_suite(suite, 1)
-    assert len(seen) == 2 and seen[1][0] > before
-    assert gc.isenabled() and gc.get_freeze_count() == 0 and _is_tracked(pre_run)
+    s.register("first", Check(record))
+    s.register("second", Check(record))
+    return s
 
 
 def test_run_suite_freezes_nothing_when_the_collector_is_disabled():
     before = gc.get_freeze_count()
     seen = []
-    suite, pre_run = _recording_suite(seen)
+    suite = _recording_suite(seen)
     gc.disable()
     try:
         run_suite(suite, 1)
         assert not gc.isenabled() and gc.get_freeze_count() == before
     finally:
         gc.enable()
-    assert seen == [(before, True), (before, True, True)]
+    assert seen == [(before, True, True)] * 2
 
 
 def test_run_suite_leaves_a_callers_frozen_objects_alone():
     seen = []
-    suite, pre_run = _recording_suite(seen)
+    suite = _recording_suite(seen)
     gc.freeze()
     try:
         frozen = gc.get_freeze_count()
@@ -168,25 +138,62 @@ def test_run_suite_leaves_a_callers_frozen_objects_alone():
     finally:
         gc.unfreeze()
     # the caller froze `pre_run` itself; the run froze nothing more
-    assert seen == [(frozen, False), (frozen, False, True)]
+    assert seen == [(frozen, False, True)] * 2
 
 
-def test_run_suite_freezes_beside_the_interpreters_own_frozen_objects(monkeypatch):
-    # objects frozen before `purecheck` was imported, as CPython 3.12.1
-    # starts with some, are not a caller's: the run freezes the heap beside
-    # them, and its closing unfreeze hands them back to the collector too
-    seen = []
-    suite, pre_run = _recording_suite(seen)
-    gc.freeze()
+_COLLECTOR_STATE = """
+import gc
+import sys
+
+kept = [[i] for i in range(1000)]
+gc.freeze()
+from purecheck import Suite, negative_suite, run_suite
+from purecheck.check import Check
+
+
+def interrupt(n):
+    raise KeyboardInterrupt
+
+
+def state():
+    return gc.get_freeze_count(), gc.isenabled()
+
+
+interrupting = Suite()
+interrupting.register("interrupt", Check(interrupt))
+for disable in (False, True):
+    if disable:
+        gc.disable()
+    before = state()
+    run_suite(negative_suite(), 10)
     try:
-        startup = gc.get_freeze_count()
-        monkeypatch.setattr(runner, "_STARTUP_FROZEN", startup)
-        run_suite(suite, 1)
-        assert gc.isenabled() and gc.get_freeze_count() == 0
-    finally:
-        gc.unfreeze()
-    (count1, _), (count2, _, left_tracked) = seen
-    assert count1 > startup and count2 > count1 and not left_tracked
+        run_suite(interrupting, 1)
+        sys.exit("the interrupt did not propagate")
+    except KeyboardInterrupt:
+        pass
+    if state() != before:
+        sys.exit(f"collector state {state()} after the runs, {before} before them")
+"""
+
+
+def test_run_suite_leaves_the_collector_as_the_caller_had_it():
+    # in a fresh interpreter, so that objects are frozen before `purecheck`
+    # is imported: a run leaves the freeze count and the collector's switch
+    # as they were, whether it ends normally or by an interrupt, with the
+    # collector enabled or disabled.  The count is read after the import:
+    # on 3.12 and 3.13, importing a module from source frees a few frozen
+    # objects, and a freed object leaves the count
+    import os
+    import sys
+
+    import purecheck
+
+    src = os.path.dirname(os.path.dirname(purecheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _COLLECTOR_STATE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_exit_codes():
