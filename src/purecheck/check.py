@@ -183,8 +183,11 @@ def render(value: Any) -> str:
 @render.register(tuple)
 @render.register(list)
 def _render_sequence(value: Union[tuple, list]) -> str:
-    opening, closing = "()" if isinstance(value, tuple) else "[]"
-    return opening + ", ".join(render(v) for v in value) + closing
+    body = ", ".join(render(v) for v in value)
+    if not isinstance(value, tuple):
+        return f"[{body}]"
+    # a one-element tuple keeps its trailing comma, as `repr` writes it
+    return f"({body},)" if len(value) == 1 else f"({body})"
 
 
 def _clip(text: str) -> str:

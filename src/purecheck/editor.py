@@ -109,9 +109,12 @@ class Ins(_Value):
         except TypeError:
             bad = next(p for p in prefixes if not isinstance(p, str))
             raise ValueError(f"a prefix is a str, not {bad!r}") from None
-        object.__setattr__(self, "prefixes", prefixes)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "length", _length(steps))
+        _set_prefixes(self, prefixes)
+        _set_steps(self, steps)
+        _set_length(self, _length(steps))
+
+
+_set_prefixes, _set_steps, _set_length = Ins.prefixes.__set__, Ins.steps.__set__, Ins.length.__set__
 
 
 class Fail(_Value):
@@ -119,12 +122,14 @@ class Fail(_Value):
 
 
 class Try(_Value):
+    __slots__ = ("insertion",)
     insertion: Ins
 
     # built for every enumerated editor and every fold: one field, stored
-    # without the general argument binding
+    # without the general argument binding, through its slot descriptor
+    # (`_set_insertion`, bound below the class)
     def __init__(self, insertion: Ins) -> None:
-        object.__setattr__(self, "insertion", insertion)
+        _set_insertion(self, insertion)
 
     def __eq__(self, other: object) -> bool:
         # the class check of `_Value.__eq__`, then the fields of two `Ins`
@@ -139,6 +144,8 @@ class Try(_Value):
 
     __hash__ = _Value.__hash__
 
+
+_set_insertion = Try.insertion.__set__
 
 Editor = Union[Try, Fail]
 

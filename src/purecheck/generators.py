@@ -31,14 +31,17 @@ exactly ``m``, so the first ``m*m`` pairs of a product cover the full
 product growing at the same rate, which is what makes multi-argument
 properties worth testing at small budgets, and it means a product pulls
 only ~sqrt(n) samples from each marginal.  One enumerator, `_shells`,
-serves `gpair`, `gtriple` (one shell product of three columns, not a
-pair of pairs), the ``tuple[...]`` defaults of any arity and the
-fixed-length streams of `lists_of`; it reads each marginal by index from
-the marginal's own memo.  A shell is a few blocks of column slices
+serves every product of two columns or more: `gpair`, `gtriple` (one
+shell product of three columns, not a pair of pairs), the
+``tuple[...]`` defaults of two parts or more and the streams of
+`lists_of` of length 2 to 4; it reads each marginal by index from the
+marginal's own memo.  A shell is a few blocks of column slices
 (`_shell`), and a product is a C-level chain
 (``itertools.chain.from_iterable``) of each block's
 ``itertools.product``: no Python frame runs per tuple, only one per
-block.
+block.  A product of one column (the ``tuple[A]`` default, the lists of
+length 1) is its marginal read directly, each sample as a 1-tuple: the
+same samples, in the same order, with the same pulls.
 
 So a product keeps no memo of its own: every tuple is rebuilt from its
 marginals' memos, and iterating a product or asking it for
@@ -243,7 +246,14 @@ def _shells(cols: tuple) -> Iterator[tuple]:
     pulling sample ``m`` of each when the shell begins.  Indices past the
     end of a finite marginal are skipped, and the product ends when every
     marginal has run dry (at once, if any is empty).
+
+    Shell ``m`` of one column is its sample ``m`` alone, so a product of
+    one column is its marginal, each sample as a 1-tuple: the marginal's
+    own iterator pulls sample ``m`` when the ``m``-th tuple is asked for,
+    as its shell would, and raises where the shell would.
     """
+    if len(cols) == 1:
+        return zip(cols[0])
 
     def blocks() -> Iterator[Iterator[tuple]]:
         for m in itertools.count():
@@ -313,7 +323,9 @@ def lists_of(g: Generator) -> Generator:
 
     The length-``k`` lists are the ``k``-fold product of ``g`` with itself
     in max-index shells, the same enumerator as `gpair`, reading ``g``'s
-    memo by index; one item is then taken from each live stream per round.
+    memo by index (the length-1 lists read ``g`` directly, as a product of
+    one column does); one item is then taken from each live stream per
+    round.
     A stream that runs dry is dropped from later rounds, which can only
     happen once its element universe is exhausted — so the interleaving is
     the same at every budget.  The bound is fixed, so every list generator
@@ -350,8 +362,9 @@ def default_generator(t: Any) -> Generator:
     """Resolve the canonical generator for a type expression.
 
     Understands registered concrete types plus ``tuple[A1, ..., Ak]`` for
-    any fixed ``k >= 1``, one max-index shell product of its parts, and
-    ``list[A]``, built from registered components.
+    any fixed ``k >= 1``, the product of its parts in max-index shells (for
+    ``k = 1``, its part's samples as 1-tuples), and ``list[A]``, built from
+    registered components.
     """
     origin = typing.get_origin(t)
     if origin is tuple:

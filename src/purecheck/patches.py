@@ -58,7 +58,10 @@ _PREFIX = {polarity: {op: _MARK[polarity] + op.value for op in EditOp} for polar
 # `Edit`, `Literal` and `Word` check their fields in a hand-written
 # `__init__`: one frame per object, where the general argument binding of
 # `_Value` takes more.  `__replace__`, copies and pickles call it by keyword
-# or by position.
+# or by position.  It stores each field through its slot descriptor's
+# `__set__`, bound once below the class (`_set_op = Edit.op.__set__`): past
+# the frozen `__setattr__`, and without the lookup of the name in the class
+# that `object.__setattr__(self, "op", op)` makes on every store.
 
 
 class Edit(_Value):
@@ -84,9 +87,12 @@ class Edit(_Value):
         # a word, spell another text than the one `==` compares
         if type(arg) is not str:
             arg = str.__str__(arg)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "arg", arg)
+        _set_op(self, op)
+        _set_pos(self, pos)
+        _set_arg(self, arg)
+
+
+_set_op, _set_pos, _set_arg = Edit.op.__set__, Edit.pos.__set__, Edit.arg.__set__
 
 
 class Literal(_Value):
@@ -101,8 +107,11 @@ class Literal(_Value):
         # so any other value would act and render as a negative literal
         if type(polarity) is not Polarity:
             raise ValueError(f"a literal's polarity is a Polarity, not {polarity!r}")
-        object.__setattr__(self, "polarity", polarity)
-        object.__setattr__(self, "atom", atom)
+        _set_polarity(self, polarity)
+        _set_atom(self, atom)
+
+
+_set_polarity, _set_atom = Literal.polarity.__set__, Literal.atom.__set__
 
 
 class Word(_Value):
@@ -115,8 +124,8 @@ class Word(_Value):
     literals: Tuple[Literal, ...]
 
     def __init__(self, literals: Iterable[Any] = ()):
-        object.__setattr__(self, "literals", tuple(literals))
-        object.__setattr__(self, "_hash", None)
+        _set_literals(self, tuple(literals))
+        _set_hash(self, None)
 
     def __hash__(self) -> int:
         # a word of literals over edits hashes as its text, spelled as
@@ -138,8 +147,11 @@ class Word(_Value):
                 )
             except TypeError:
                 h = hash(self.literals)
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
+
+
+_set_literals, _set_hash = Word.literals.__set__, Word._hash.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +379,7 @@ def parse_word(text: str) -> Word:
         else:
             # `_literal` admits only a literal spelled as `render` spells it,
             # so `text` is the word's rendering and its hash the word's hash
-            object.__setattr__(w, "_hash", hash(text))
+            _set_hash(w, hash(text))
             return w
     tokens = _tokens(text)
     if tokens is None:

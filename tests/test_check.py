@@ -552,6 +552,20 @@ def test_counterexample_text_is_clipped_past_200_characters():
     assert clipped == Falsified("'" + "a" * 196 + "...")
 
 
+def test_a_one_element_tuple_renders_with_its_trailing_comma():
+    from purecheck.check import render
+
+    # as `repr` writes it, so `(2,)` does not read as the int 2
+    assert render((2,)) == "(2,)" and render(("a",)) == "('a',)"
+    assert render(((),)) == "((),)" and render([(1,)]) == "[(1,)]"
+    assert render(()) == "()" and render((1, 2)) == "(1, 2)" and render([1]) == "[1]"
+
+    def f(t: tuple[int]) -> bool:
+        return t[0] < 2
+
+    assert check(Meta(f)).perform(100) == Falsified(counterexample="(2,)")
+
+
 def test_logical_error_texts_clip_the_sample():
     # like a counterexample, the sample in a logical error is clipped
     raised = check_with(from_values(["a" * 5000]), lambda s: 1 / 0).perform(1)

@@ -215,22 +215,34 @@ def test_a_raising_marginal_makes_every_fresh_product_raise_at_the_same_index():
         yield from range(3)
         raise RuntimeError("no sample 3")
 
-    # shell 3 of a pair begins at index 9 and pulls sample 3 of each marginal
     marginal = Generator(make)
-    expected = gpair(from_values(range(3)), naturals()).generate(9)
-    verdicts = []
-    for _ in range(3):
-        product = gpair(marginal, naturals())
-        assert product.generate(9) == expected
-        with pytest.raises(RuntimeError, match="no sample 3"):
-            product.generate(10)
-        with pytest.raises(RuntimeError, match="no sample 3"):
-            list(product)
-        seen = []
-        c = check_with(product, lambda xy: seen.append(xy) is None)
-        assert c.perform(10) == c.perform(10) and seen == expected * 2
-        verdicts.append(c.perform(10))
-    assert verdicts == [TacticalError("sample enumeration failed: RuntimeError('no sample 3')")] * 3
+    failed = TacticalError("sample enumeration failed: RuntimeError('no sample 3')")
+    products = [
+        # shell 3 of a pair begins at index 9 and pulls sample 3 of each marginal
+        (lambda: gpair(marginal, naturals()), gpair(from_values(range(3)), naturals()).generate(9)),
+        # a product of one column reads its marginal: sample 3 at index 3
+        (lambda: generators._Product((marginal,)), [(0,), (1,), (2,)]),
+    ]
+    for build, expected in products:
+        k = len(expected)
+        verdicts = []
+        for _ in range(3):
+            product = build()
+            assert product.generate(k) == expected
+            with pytest.raises(RuntimeError, match="no sample 3"):
+                product.generate(k + 1)
+            with pytest.raises(RuntimeError, match="no sample 3"):
+                list(product)
+            seen = []
+            c = check_with(product, lambda xy: seen.append(xy) is None)
+            assert c.perform(k + 1) == c.perform(k + 1) and seen == expected * 2
+            verdicts.append(c.perform(k + 1))
+        assert verdicts == [failed] * 3
+    # the lists over it raise at the length-1 list [3], after 13 lists
+    lists = lists_of(marginal)
+    assert lists.generate(13)[-4:] == [[2], [1, 0], [0, 1, 0], [0, 0, 1, 0]]
+    assert check_with(lists, lambda xs: True).perform(13) == Holds()
+    assert check_with(lists, lambda xs: True).perform(14) == failed
 
 
 def test_an_interrupted_product_enumerates_the_uninterrupted_samples_next():
@@ -251,6 +263,15 @@ def test_an_interrupted_product_enumerates_the_uninterrupted_samples_next():
         with pytest.raises(KeyboardInterrupt):
             flat.generate(n)
         assert flat.generate(n) == gpair(naturals(), naturals()).generate(n)
+        # a product of one column, read afresh and through an enclosing product
+        single = generators._Product((interrupted_at(3),))
+        with pytest.raises(KeyboardInterrupt):
+            single.generate(n)
+        assert single.generate(n) == [(x,) for x in range(n)]
+        outer = gpair(generators._Product((interrupted_at(1),)), naturals())
+        with pytest.raises(KeyboardInterrupt):
+            outer.generate(n)
+        assert outer.generate(n) == gpair(gmap(lambda x: (x,), naturals()), naturals()).generate(n)
         # interrupted inside the inner product's own memo
         nested = gpair(gpair(interrupted_at(1), naturals()), naturals())
         with pytest.raises(KeyboardInterrupt):
